@@ -8,6 +8,7 @@ series (adequate for |z| < 2.4), so no special-function library is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,9 +57,11 @@ def airy_ai_prime(z: float) -> float:
     return _AI0 * f_sum + _AIP0 * g_sum
 
 
+@functools.cache
 def airy_first_zero() -> float:
     """First negative zero z_A of Ai, bracketed in (-2.4, -2.3),
-    located by bisection and polished by Newton steps."""
+    located by bisection and polished by Newton steps.  Computed once per
+    process."""
     lo, hi = -2.4, -2.3
     f_lo = airy_ai(lo)
     if f_lo * airy_ai(hi) >= 0:

@@ -120,11 +120,12 @@ def _curve_csv(rows) -> str:
 
 
 def _cmd_curve(args):
-    means = [float(x) for x in args.means.split(",")]
-    workers = int(os.environ.get("PHASELIMIT_THREADS", "1"))
+    try:
+        means = [float(x) for x in args.means.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--means must be comma-separated numbers: {exc}") from exc
     rows = optimizer.figure2_curve(
-        _kind(args.kind), means, dim=args.dim, mean_tol=args.mean_tol,
-        seed=args.seed, max_workers=max(workers, 1),
+        _kind(args.kind), means, dim=args.dim, mean_tol=args.mean_tol, seed=args.seed
     )
     if args.format == "json":
         return _json_text({"kind": args.kind, "columns": CURVE_COLUMNS, "rows": rows})
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.out)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -4,14 +4,17 @@ The cost <theta^2> (or its sparse trigonometric lower bound) is a quadratic
 form c^T A c in the real amplitude vector, so the constrained minimum at
 mean <N> is found with a Lagrange multiplier: for each lambda >= 0, the
 smallest eigenpair of B(lambda) = A + lambda*diag(0..dim-1) gives the
-unconstrained optimum of cost + lambda*mean, and lambda is bisected until
-the achieved mean hits the target.  Sweeping the target mean produces the
-minimum-product curve (mean+1)*sqrt(cost).
+unconstrained optimum of cost + lambda*mean, and lambda is found by a
+safeguarded secant on log(mean+1) against log(lambda), started from the
+large-mean asymptote lambda ~ 2 k_C^2/(mean+1)^3, until the achieved mean
+hits the target.  Sweeping the target mean produces the minimum-product
+curve (mean+1)*sqrt(cost).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +23,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import bounds
 from .errors import ConvergenceError, ValidationError
 from .fock import ProbeState
 
@@ -28,7 +32,10 @@ SPARSE_DIM_LIMIT = 1 << 20
 SPARSE_THRESHOLD = 512  # pentadiagonal problems above this go to the sparse path
 TAIL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-MAX_BISECTIONS = 200
+MAX_MULTIPLIER_STEPS = 100
+# d log(mean+1)/d log(lambda) on the asymptote lambda ~ 2 k_C^2/(mean+1)^3
+ASYMPTOTIC_SLOPE = -1.0 / 3.0
+LOG4 = math.log(4.0)
 
 
 class CostKind(enum.Enum):
@@ -96,6 +103,15 @@ def _surrogate_sparse(dim: int, lam: float) -> scipy.sparse.csc_matrix:
     return scipy.sparse.diags(diags, [-2, -1, 0, 1, 2], format="csc")
 
 
+@functools.lru_cache(maxsize=1)
+def _base_matrix(kind: CostKind, dim: int) -> np.ndarray:
+    """cost_matrix(kind, dim), built once for all the multipliers tried at
+    one dimension.  Read-only, because every caller shares the array."""
+    a = cost_matrix(kind, dim)
+    a.flags.writeable = False
+    return a
+
+
 def _matrix_norm_estimate(matrix) -> float:
     if scipy.sparse.issparse(matrix):
         return float(abs(matrix).sum(axis=1).max())
@@ -117,7 +133,12 @@ def min_eigenpair(matrix, sparse: bool = False, seed: int = 0):
         raise ValidationError("matrix must be square")
     if not sparse:
         matrix = np.asarray(matrix, dtype=float)
-        if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
+        # Exact equality, which every matrix built here passes, costs a small
+        # fraction of the tolerance test it short-circuits.
+        if not (
+            np.array_equal(matrix, matrix.T)
+            or np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0)
+        ):
             raise ValidationError("matrix is not symmetric")
         vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         mu, v = float(vals[0]), vecs[:, 0]
@@ -158,7 +179,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0):
     if kind is CostKind.SURROGATE and dim > SPARSE_THRESHOLD:
         mu, v, residual = min_eigenpair(_surrogate_sparse(dim, lam), sparse=True, seed=seed)
     else:
-        b = cost_matrix(kind, dim)
+        b = _base_matrix(kind, dim).copy()
         b[np.diag_indices(dim)] += lam * np.arange(dim)
         mu, v, residual = min_eigenpair(b)
     # Fix the sign convention so the dominant component is nonnegative.
@@ -191,15 +212,17 @@ def optimize_at_mean(
 ) -> OptimizationResult:
     """Global minimum of the cost over probe states with the given mean.
 
-    The multiplier is bisected over an expanding bracket until the achieved
-    mean is within mean_tol*(1+target_mean) of the target.  If the optimal
-    state's tail mass shows the truncation is inadequate, the dimension is
-    doubled and the solve repeated, up to the per-path dimension cap.
+    The multiplier is found by a secant in log(lambda), seeded from the
+    asymptote lambda ~ 2 k_C^2/(mean+1)^3 and safeguarded by the bracket of
+    multipliers tried so far, until the achieved mean is within
+    mean_tol*(1+target_mean) of the target.  If the optimal state's tail
+    mass shows the truncation is inadequate, the dimension is doubled and
+    the solve repeated, up to the per-path dimension cap.
     """
-    if target_mean < 0:
-        raise ValidationError("target mean must be nonnegative")
-    if mean_tol <= 0:
-        raise ValidationError("mean_tol must be positive")
+    if not math.isfinite(target_mean) or target_mean < 0:
+        raise ValidationError("target mean must be finite and nonnegative")
+    if not math.isfinite(mean_tol) or mean_tol <= 0:
+        raise ValidationError("mean_tol must be finite and positive")
     cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
     auto_dim = dim is None
     if auto_dim:
@@ -231,40 +254,39 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol, seed) -> OptimizationResu
         iterations += 1
         return solve_at_multiplier(kind, dim, lam, seed=seed)
 
-    lo = 0.0
-    mu, v, mean, residual = solve(lo)
+    lam = 0.0
+    mu, v, mean, residual = solve(lam)
     if mean < target_mean - tol:
         raise ConvergenceError(
             f"unconstrained mean {mean:.6g} below target {target_mean:.6g}; "
             "increase dim"
         )
-    if abs(mean - target_mean) > tol:
-        hi = math.pi**2
-        mu, v, mean, residual = solve(hi)
-        expansions = 0
-        while mean > target_mean:
-            hi *= 4.0
-            expansions += 1
-            if expansions > 60:
-                raise ConvergenceError("lambda bracket expansion failed")
-            mu, v, mean, residual = solve(hi)
-        lam = hi
-        for _ in range(MAX_BISECTIONS):
-            if abs(mean - target_mean) <= tol:
-                break
-            lam = 0.5 * (lo + hi)
-            mu, v, mean, residual = solve(lam)
-            if mean > target_mean:
-                lo = lam
-            else:
-                hi = lam
-        else:
+    # Secant on y = log(mean+1) against x = log(lambda), started on the
+    # large-mean asymptote and kept inside the bracket lo < lambda < hi of
+    # the multipliers tried so far (the mean is nonincreasing in lambda).
+    y_target = math.log1p(target_mean)
+    lo, hi = 0.0, math.inf
+    next_lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
+    slope = ASYMPTOTIC_SLOPE
+    last = None
+    while abs(mean - target_mean) > tol:
+        if iterations > MAX_MULTIPLIER_STEPS:
             raise ConvergenceError(
                 f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
-                f"after {MAX_BISECTIONS} bisections"
+                f"after {MAX_MULTIPLIER_STEPS} multiplier steps"
             )
-    else:
-        lam = lo
+        lam = next_lam
+        mu, v, mean, residual = solve(lam)
+        if mean > target_mean:
+            lo = lam
+        else:
+            hi = lam
+        x, y = math.log(lam), math.log1p(mean)
+        if last is not None and x != last[0]:
+            secant = (y - last[1]) / (x - last[0])
+            slope = secant if secant < 0 else ASYMPTOTIC_SLOPE
+        last = (x, y)
+        next_lam = _next_multiplier(lam, (y_target - y) / slope, lo, hi)
 
     cost = mu - lam * mean
     tail_mass = float(np.sum(v[max(dim - 2, 0):] ** 2))
@@ -281,21 +303,39 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol, seed) -> OptimizationResu
     )
 
 
+def _next_multiplier(lam, step, lo, hi):
+    """lam*exp(step), limited to a factor 4 toward a side not yet bracketed
+    and replaced by the geometric midpoint of (lo, hi) if it leaves it.
+    The step always points away from lam's own end of the bracket."""
+    if step > 0:
+        if hi == math.inf:
+            return lam * math.exp(min(step, LOG4))
+        if step < math.log(hi / lam):
+            return lam * math.exp(step)
+    else:
+        if lo == 0.0:
+            return lam * math.exp(max(step, -LOG4))
+        if step > math.log(lo / lam):
+            return lam * math.exp(step)
+    return math.sqrt(lo) * math.sqrt(hi)
+
+
 def figure2_curve(
     kind: CostKind,
     means,
     dim: int | None = None,
     mean_tol: float = 1e-8,
     seed: int = 0,
-    max_workers: int = 1,
 ) -> list[dict]:
     """Minimum-product curve rows, one per requested mean, in input order.
 
     product = (mean+1)*sqrt(cost), matching the <N+1> delta-Phi axis.
     """
     means = [float(m) for m in means]
-    if any(m <= 0 for m in means) or any(b <= a for a, b in zip(means, means[1:])):
-        raise ValidationError("means must be positive and strictly ascending")
+    if not all(math.isfinite(m) and m > 0 for m in means) or any(
+        b <= a for a, b in zip(means, means[1:])
+    ):
+        raise ValidationError("means must be finite, positive and strictly ascending")
 
     def run(mean):
         res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol, seed=seed)
@@ -312,9 +352,4 @@ def figure2_curve(
             "iterations": res.iterations,
         }
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, means))
     return [run(m) for m in means]

@@ -84,6 +84,35 @@ class TestCurve:
         assert data["rows"][0]["product"] >= 1.376083
 
 
+class TestBadInput:
+    """Every bad input exits 1 with one 'error:' line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--mean", "nan"),
+            ("optimize", "--mean", "inf"),
+            ("optimize", "--mean", "1", "--mean-tol", "nan"),
+            ("curve", "--means", "1,x"),
+            ("curve", "--means", "1,nan"),
+            ("curve", "--means", "1", "--mean-tol", "inf"),
+            ("constants", "--out", "/nonexistent/dir/f"),
+        ],
+    )
+    def test_exits_1_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_threads_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("PHASELIMIT_THREADS", "abc")
+        code, out, _ = run_cli(capsys, "curve", "--means", "0.5,1")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
+
+
 class TestSimulate:
     def test_kphase_files(self, capsys, tmp_path):
         state, povm, _ = kphase_construction(4)

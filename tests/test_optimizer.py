@@ -18,7 +18,7 @@ from phaselimit import (
     solve_at_multiplier,
     surrogate_cost,
 )
-from phaselimit.optimizer import _surrogate_sparse
+from phaselimit.optimizer import _next_multiplier, _surrogate_sparse
 
 # Frozen oracle: brute-force random search over real dim-3/4 states with
 # mean within 2e-3 of 0.5 achieved cost 1.00747, already below the dim-2
@@ -83,6 +83,11 @@ class TestMinEigenpair:
         assert mu_s == pytest.approx(mu_d, abs=1e-10)
         assert abs(abs(v_s @ v_d) - 1) < 1e-8
 
+    def test_tolerates_rounding_asymmetry(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+        mu, _, _ = min_eigenpair(m)
+        assert mu == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             min_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -114,6 +119,14 @@ class TestSolveAtMultiplier:
         lams = [0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]
         means = [solve_at_multiplier(CostKind.EXACT_SQUARE, 32, l)[2] for l in lams]
         assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
+
+    def test_repeated_calls_at_one_dim_match_oracle(self):
+        # the cost matrix is shared between calls at one dim; a call must
+        # not see the multiplier of the previous one
+        for lam in (2.0, 0.0, 0.5):
+            mu, _, _, _ = solve_at_multiplier(CostKind.SURROGATE, 12, lam)
+            b = cost_matrix(CostKind.SURROGATE, 12) + lam * np.diag(np.arange(12.0))
+            assert mu == pytest.approx(np.linalg.eigvalsh(b)[0], abs=1e-12)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
@@ -177,6 +190,77 @@ class TestOptimizeAtMean:
     def test_explicit_dim_too_small_for_bracket(self):
         with pytest.raises((ValidationError, ConvergenceError)):
             optimize_at_mean(CostKind.EXACT_SQUARE, 1.9, dim=3)
+
+
+def reference_multiplier(kind, target, dim):
+    """Plain bisection on log(lambda) over a bracket checked at both ends.
+
+    Stops once lambda*|mean - target| <= 1e-10: since d cost/d mean is
+    -lambda, the cost found is then within about 1e-10 of the cost at the
+    target mean.  Returns (lambda, cost).
+    """
+    lo, hi = 1e-14, 1e2
+    assert solve_at_multiplier(kind, dim, lo)[2] > target > solve_at_multiplier(kind, dim, hi)[2]
+    for _ in range(200):
+        lam = math.sqrt(lo * hi)
+        mu, _, mean, _ = solve_at_multiplier(kind, dim, lam)
+        if lam * abs(mean - target) <= 1e-10:
+            return lam, mu - lam * mean
+        if mean > target:
+            lo = lam
+        else:
+            hi = lam
+    raise AssertionError("reference bisection did not converge")
+
+
+class TestMultiplierSearch:
+    # Mean 300 runs at dim 1200 (tail mass 3e-11 < TAIL_TOL) rather than the
+    # default 2400, where each dense solve of the reference takes about 1 s.
+    @pytest.mark.parametrize(
+        "kind, target, dim",
+        [
+            (CostKind.EXACT_SQUARE, 0.5, None),
+            (CostKind.EXACT_SQUARE, 3.0, None),
+            (CostKind.EXACT_SQUARE, 32.0, None),
+            (CostKind.EXACT_SQUARE, 300.0, 1200),
+            (CostKind.SURROGATE, 0.4, None),
+            (CostKind.SURROGATE, 40.0, None),
+            (CostKind.SURROGATE, 4000.0, None),
+        ],
+    )
+    def test_matches_reference_bisection(self, kind, target, dim):
+        mean_tol = 1e-8
+        res = optimize_at_mean(kind, target, dim=dim, mean_tol=mean_tol)
+        _, ref_cost = reference_multiplier(kind, target, res.dim)
+        assert res.cost == pytest.approx(ref_cost, abs=1e-8)
+        assert abs(res.achieved_mean - target) <= mean_tol * (1 + target)
+        assert res.iterations <= 8
+
+    def test_safeguards(self):
+        # toward an unbracketed side a step is at most a factor 4
+        assert _next_multiplier(1.0, 10.0, 1.0, math.inf) == pytest.approx(4.0)
+        assert _next_multiplier(1.0, -10.0, 0.0, 1.0) == pytest.approx(0.25)
+        # a step leaving the bracket lands on its geometric midpoint
+        assert _next_multiplier(1.0, 10.0, 1.0, 9.0) == pytest.approx(3.0)
+        assert _next_multiplier(9.0, -10.0, 1.0, 9.0) == pytest.approx(3.0)
+        # a step inside the bracket is taken as it is
+        assert _next_multiplier(1.0, math.log(2.0), 1.0, 9.0) == pytest.approx(2.0)
+
+    def test_step_cap_raises(self):
+        # a tolerance below double precision can never be met
+        with pytest.raises(ConvergenceError):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 1.0, mean_tol=1e-30)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 1.0, mean_tol=bad)
+        with pytest.raises(ValidationError):
+            optimize_at_mean(CostKind.EXACT_SQUARE, bad)
+        with pytest.raises(ValidationError):
+            figure2_curve(CostKind.SURROGATE, [1.0], mean_tol=bad)
+        with pytest.raises(ValidationError):
+            figure2_curve(CostKind.SURROGATE, [1.0, bad])
 
 
 class TestFigure2Curve:
