@@ -93,15 +93,15 @@ def k_C() -> float:
 
 def heisenberg_bound(nbar: float) -> float:
     """Proven lower bound k_A/(nbar+1) on the rms average phase error."""
-    if nbar < 0:
-        raise ValidationError("nbar must be nonnegative")
+    if not math.isfinite(nbar) or nbar < 0:
+        raise ValidationError("nbar must be finite and nonnegative")
     return k_A() / (nbar + 1.0)
 
 
 def conjectured_bound(nbar: float) -> float:
     """Conjectured lower bound k_C/(nbar+1) on the rms average phase error."""
-    if nbar < 0:
-        raise ValidationError("nbar must be nonnegative")
+    if not math.isfinite(nbar) or nbar < 0:
+        raise ValidationError("nbar must be finite and nonnegative")
     return k_C() / (nbar + 1.0)
 
 

@@ -24,6 +24,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import bounds, fock, optimizer, phasedist, povm
 from .errors import ConvergenceError, ValidationError
 
@@ -163,7 +165,8 @@ def _cmd_simulate(args):
 
 def _cmd_discriminate(args):
     state, pom, report = povm.kphase_construction(args.K)
-    errors = [povm.per_phase_variance(pom, state, 2 * math.pi * k / args.K) for k in range(args.K)]
+    phis = 2 * math.pi * np.arange(args.K) / args.K
+    errors = povm.per_phase_variance(pom, state, phis).tolist()
     report = {**report, "per_phase_variance": errors}
     if args.format == "json":
         return _json_text({"discrimination": report, "state": state.to_json()})

@@ -116,6 +116,12 @@ def make_state(amplitudes) -> ProbeState:
         raise ValidationError("amplitude vector must be nonempty and 1-d")
     if not np.all(np.isfinite(amps.view(float))):
         raise ValidationError("amplitude vector contains non-finite entries")
+    # Divide by the power of two just above the largest real or imaginary
+    # part first, so that the norm of huge or tiny entries neither overflows
+    # nor underflows; the scaling is exact, so ordinary inputs round as
+    # without it.
+    _, exp = np.frexp(np.max(np.abs(amps.view(float))))
+    amps = np.ldexp(amps.real, -exp) + 1j * np.ldexp(amps.imag, -exp)
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ValidationError("amplitude vector has zero norm")

@@ -227,6 +227,8 @@ def optimize_at_mean(
     auto_dim = dim is None
     if auto_dim:
         dim = min(default_dim(target_mean), cap)
+    elif dim > cap:
+        raise ValidationError(f"dim {dim} exceeds the {kind.value} cap {cap}")
     if target_mean > dim - 1:
         raise ValidationError(f"target mean {target_mean} infeasible at dim {dim}")
     if target_mean == 0:

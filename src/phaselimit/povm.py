@@ -2,10 +2,18 @@
 distribution they induce.
 
 Each outcome carries an estimate value in [0, 2*pi) and a PSD matrix on the
-number basis.  Averaging the error theta = estimate - phase uniformly over
-the true phase makes the phi-integral analytic, so the moments of the
-average distribution are computed in closed form and never by numerical
-integration.
+number basis.  For a fixed probe c, the probability of outcome j at phase
+phi is a trigonometric polynomial of degree dim-1,
+
+    p(j|phi) = sum_{n,m} conj(c_n) (M_j)_{nm} c_m e^{i(n-m)phi}
+             = sum_k a_{j,k} e^{ik phi},
+
+whose coefficient a_{j,k} is the sum of the k-th diagonal (n - m = k) of
+M_j * conj(c) c^T.  `_coefficients` computes all of them at once in
+O(n_outcomes * dim^2), and everything phase-dependent is read from them:
+the moments of the error distribution averaged uniformly over the phase
+(closed form, never numerical integration), the probabilities at any set of
+phases, and the K-phase success probabilities.
 """
 
 from __future__ import annotations
@@ -20,8 +28,15 @@ from .fock import ProbeState, make_state
 from .phasedist import PhaseDistribution
 
 PSD_EIG_FLOOR = -1e-10
+HERMITIAN_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
+IMAG_TOL = 1e-12
 TWO_PI = 2 * math.pi
+# Elements are validated this many at a time, which bounds the batched
+# temporaries (16 outcomes at dim 128 is 4 MB).
+VALIDATION_CHUNK = 16
+# kphase_construction stores K^3 complex entries; 2^30 bytes allows K <= 406.
+MAX_ELEMENT_BYTES = 1 << 30
 
 
 def wrap_angle(x):
@@ -50,12 +65,8 @@ class EstimatePOM:
             raise ValidationError("estimates must lie in [0, 2*pi)")
         if els.ndim != 3 or els.shape[0] != est.size or els.shape[1] != els.shape[2]:
             raise ValidationError("elements must be (n_outcomes, dim, dim)")
-        for j, m in enumerate(els):
-            if not np.allclose(m, m.conj().T, atol=1e-10, rtol=0.0):
-                raise ValidationError(f"element {j} is not Hermitian")
-            low = float(np.linalg.eigvalsh(m).min())
-            if low < PSD_EIG_FLOOR:
-                raise ValidationError(f"element {j} has eigenvalue {low:.3e} < 0")
+        for start in range(0, est.size, VALIDATION_CHUNK):
+            _validate_elements(els[start : start + VALIDATION_CHUNK], start)
         total = els.sum(axis=0)
         if np.max(np.abs(total - np.eye(els.shape[1]))) > COMPLETENESS_TOL:
             raise ValidationError("elements do not sum to the identity")
@@ -93,6 +104,27 @@ class EstimatePOM:
         return cls(np.array(est), np.array(els))
 
 
+def _validate_elements(block: np.ndarray, start: int):
+    """Hermitian and PSD checks on elements start, start+1, ... at once.
+
+    A Cholesky factor of M + |PSD_EIG_FLOOR| I exists exactly when the least
+    eigenvalue of M exceeds PSD_EIG_FLOOR, up to rounding of order eps*|M|,
+    so a block whose factorization fails is re-checked element by element
+    with eigvalsh, which makes every rejection.
+    """
+    skew = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(skew <= HERMITIAN_TOL))  # NaN counts as bad
+    if bad.size:
+        raise ValidationError(f"element {start + bad[0]} is not Hermitian")
+    try:
+        np.linalg.cholesky(block - PSD_EIG_FLOOR * np.eye(block.shape[1]))
+    except np.linalg.LinAlgError:
+        for j, m in enumerate(block, start):
+            low = float(np.linalg.eigvalsh(m).min())
+            if low < PSD_EIG_FLOOR:
+                raise ValidationError(f"element {j} has eigenvalue {low:.3e} < 0") from None
+
+
 def conditional_probability(
     povm: EstimatePOM, state: ProbeState, phi: float, outcome_index: int
 ) -> float:
@@ -103,30 +135,63 @@ def conditional_probability(
         raise ValidationError("POM and state dimensions differ")
     c_phi = state.amplitudes * np.exp(-1j * np.arange(state.dim) * phi)
     val = complex(np.conj(c_phi) @ povm.elements[outcome_index] @ c_phi)
-    if abs(val.imag) > 1e-12:
+    if abs(val.imag) > IMAG_TOL:
         raise ValidationError(f"probability has imaginary part {val.imag:.3e}")
     return max(val.real, 0.0)
 
 
-def average_distribution(povm: EstimatePOM, state: ProbeState) -> PhaseDistribution:
-    """Exact moments of the phase-averaged error distribution.
+def _coefficients(povm: EstimatePOM, state: ProbeState) -> np.ndarray:
+    """Fourier coefficients of the outcome probabilities in the phase.
 
-    Integrating the uniform phase average against the discrete outcomes gives
-    m_k = sum_j e^{ik est_j} sum_n (M_j)_{n+k,n} conj(c_{n+k}) c_n.
+    Column dim-1+k holds a_{j,k} = sum_{n-m=k} conj(c_n) (M_j)_{nm} c_m for
+    k = -(dim-1)..dim-1, so that p(j|phi) = sum_k a_{j,k} e^{ik phi}.  One
+    diagonal of all elements is read per k; no (n_outcomes, dim, dim)
+    temporary is formed.
     """
     if povm.dim != state.dim:
         raise ValidationError("POM and state dimensions differ")
     c = state.amplitudes
     d = state.dim
-    phases = np.exp(1j * np.outer(np.arange(d), povm.estimates))  # (k, j)
-    m = np.empty(d, dtype=complex)
+    a = np.empty((povm.n_outcomes, 2 * d - 1), dtype=complex)
+    for k in range(-(d - 1), d):
+        # numpy's offset is m - n; entry i of the diagonal is (n, m) =
+        # (i + k, i) for k >= 0 and (i, i - k) for k < 0.
+        diag = np.diagonal(povm.elements, offset=-k, axis1=1, axis2=2)
+        if k >= 0:
+            w = np.conj(c[k:]) * c[: d - k]
+        else:
+            w = np.conj(c[: d + k]) * c[-k:]
+        a[:, d - 1 + k] = diag @ w
+    return a
+
+
+def _phase_probabilities(povm: EstimatePOM, state: ProbeState, phis: np.ndarray) -> np.ndarray:
+    """p(j|phi_p) for a 1-d array of phases, shape (phases, outcomes)."""
+    d = state.dim
+    a = _coefficients(povm, state)
+    k = np.arange(-(d - 1), d)
+    # The rounding of k*phi (up to 6e-14 at k*phi ~ 800) would pass straight
+    # into p; with phi = hi + lo and hi on a 2^-36 grid, k*hi is exact.
+    hi = np.round(phis * 2.0**36) / 2.0**36
+    factors = np.exp(1j * np.outer(hi, k)) * np.exp(1j * np.outer(phis - hi, k))
+    probs = factors @ a.T
+    worst = np.max(np.abs(probs.imag), initial=0.0)
+    if worst > IMAG_TOL:
+        raise ValidationError(f"probability has imaginary part {worst:.3e}")
+    return np.maximum(probs.real, 0.0)
+
+
+def average_distribution(povm: EstimatePOM, state: ProbeState) -> PhaseDistribution:
+    """Exact moments of the phase-averaged error distribution.
+
+    Averaging e^{ik(est_j - phi)} p(j|phi) over a uniform phase keeps the
+    e^{ik phi} term of p(j|phi): m_k = sum_j e^{ik est_j} a_{j,k}.
+    """
+    a = _coefficients(povm, state)
+    d = state.dim
+    phases = np.exp(1j * np.outer(povm.estimates, np.arange(d)))  # (j, k)
+    m = np.einsum("jk,jk->k", phases, a[:, d - 1 :])
     m[0] = 1.0
-    for k in range(1, d):
-        pair = np.conj(c[k:]) * c[: d - k]
-        inner = np.array(
-            [np.dot(np.diagonal(el, offset=-k), pair) for el in povm.elements]
-        )
-        m[k] = np.dot(phases[k], inner)
     return PhaseDistribution(m)
 
 
@@ -163,13 +228,21 @@ def covariant_average_distribution(seed: np.ndarray, state: ProbeState) -> Phase
     return PhaseDistribution(m)
 
 
-def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi: float) -> float:
-    """Var_phi of the estimate: sum_j wrap(est_j - phi)^2 p(j|phi)."""
-    errors = wrap_angle(povm.estimates - phi)
-    probs = np.array(
-        [conditional_probability(povm, state, phi, j) for j in range(povm.n_outcomes)]
-    )
-    return float(np.dot(errors**2, probs))
+def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi):
+    """Var_phi of the estimate: sum_j wrap(est_j - phi)^2 p(j|phi).
+
+    ``phi`` is one phase, giving a float, or an array of phases, giving an
+    array of that shape; the probabilities at every phase come from one
+    product with the Fourier coefficients.
+    """
+    phis = np.asarray(phi, dtype=float)
+    flat = phis.reshape(-1)
+    probs = _phase_probabilities(povm, state, flat)
+    errors = wrap_angle(povm.estimates[None, :] - flat[:, None])
+    var = np.einsum("pj,pj->p", errors**2, probs)
+    if phis.ndim == 0:
+        return float(var[0])
+    return var.reshape(phis.shape)
 
 
 def kphase_construction(K: int):
@@ -183,6 +256,11 @@ def kphase_construction(K: int):
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
+    if 16 * K**3 > MAX_ELEMENT_BYTES:
+        raise ValidationError(
+            f"K = {K} needs {16 * K**3 / 2**30:.1f} GiB of POM elements "
+            f"(limit {MAX_ELEMENT_BYTES / 2**30:.0f} GiB)"
+        )
     psi = make_state(np.ones(K))
     phis = TWO_PI * np.arange(K) / K
     n = np.arange(K)
@@ -190,9 +268,7 @@ def kphase_construction(K: int):
     elements = np.einsum("km,kn->kmn", shifted, np.conj(shifted))
     povm = EstimatePOM(phis, elements)
     gram = shifted @ shifted.conj().T
-    success = np.array(
-        [conditional_probability(povm, psi, phis[k], k) for k in range(K)]
-    )
+    success = np.diagonal(_phase_probabilities(povm, psi, phis))
     report = {
         "K": K,
         "mean_number": (K - 1) / 2,

@@ -75,6 +75,13 @@ class TestScalarBounds:
         with pytest.raises(ValidationError):
             conjectured_bound(-0.1)
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, nbar):
+        with pytest.raises(ValidationError):
+            heisenberg_bound(nbar)
+        with pytest.raises(ValidationError):
+            conjectured_bound(nbar)
+
 
 class TestEntropyChainReport:
     def _entry(self, report, name):

@@ -97,6 +97,9 @@ class TestBadInput:
             ("curve", "--means", "1,nan"),
             ("curve", "--means", "1", "--mean-tol", "inf"),
             ("constants", "--out", "/nonexistent/dir/f"),
+            ("optimize", "--mean", "1", "--dim", "1000000"),
+            ("optimize", "--kind", "surrogate", "--mean", "1", "--dim", "2000000"),
+            ("discriminate", "--K", "2000"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, argv):
@@ -142,6 +145,14 @@ class TestDiscriminate:
         assert rep["mean_number"] == 1.5
         assert rep["gram_identity_error"] < 1e-12
         assert np.allclose(rep["per_phase_variance"], 0, atol=1e-12)
+
+    def test_k64_exact_at_special_phases(self, capsys):
+        code, out, _ = run_cli(capsys, "discriminate", "--K", "64")
+        assert code == 0
+        rep = json.loads(out)["discrimination"]
+        assert len(rep["per_phase_variance"]) == 64
+        assert all(0.0 <= v <= 1e-12 for v in rep["per_phase_variance"])
+        assert all(abs(p - 1.0) <= 1e-12 for p in rep["success_probabilities"])
 
     def test_invalid_k_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "discriminate", "--K", "0")

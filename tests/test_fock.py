@@ -41,6 +41,12 @@ class TestMakeState:
         with pytest.raises(ValidationError):
             make_state([1, np.nan])
 
+    def test_huge_and_tiny_entries(self):
+        # the norm of [1e308, 1e308] overflows unless the entries are rescaled
+        for amps in ([1e308, 1e308], [1e-320, 1e-320j]):
+            s = make_state(amps)
+            assert np.allclose(np.abs(s.amplitudes), [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-15)
+
     def test_probe_state_requires_normalization(self):
         with pytest.raises(ValidationError):
             ProbeState(np.array([1.0, 1.0]))

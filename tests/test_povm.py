@@ -60,6 +60,31 @@ class TestEstimatePOM:
         with pytest.raises(ValidationError):
             EstimatePOM(np.array([2 * math.pi]), np.eye(2, dtype=complex)[None])
 
+    @staticmethod
+    def _split_identity(n=20, dim=3):
+        return np.zeros(n), np.array([np.eye(dim, dtype=complex) / n] * n)
+
+    def test_non_hermitian_past_first_chunk(self):
+        est, els = self._split_identity()
+        els[17, 0, 1] += 1e-9
+        with pytest.raises(ValidationError, match=r"^element 17 is not Hermitian$"):
+            EstimatePOM(est, els)
+
+    @pytest.mark.parametrize("low, rejected", [(-2e-10, True), (-5e-11, False)])
+    def test_psd_floor_past_first_chunk(self, low, rejected):
+        # element 17 gets least eigenvalue `low` along v; element 18 takes
+        # the difference, so the elements still sum to the identity
+        est, els = self._split_identity()
+        v = np.array([1.0, 1j, 1.0]) / math.sqrt(3)
+        shift = (1 / 20 - low) * np.outer(v, v.conj())
+        els[17] -= shift
+        els[18] += shift
+        if rejected:
+            with pytest.raises(ValidationError, match=r"^element 17 has eigenvalue -2\.000e-10 < 0$"):
+                EstimatePOM(est, els)
+        else:
+            EstimatePOM(est, els)
+
     def test_json_roundtrip(self, rng):
         povm = random_povm(rng, 3, 4)
         back = EstimatePOM.from_json(povm.to_json())
@@ -186,6 +211,57 @@ class TestPerPhaseVariance:
         assert avg == pytest.approx(msd, abs=1e-6)
 
 
+class TestBatchedSweep:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_scalar_and_direct(self, rng, dim):
+        s = random_state(rng, dim)
+        povm = random_povm(rng, dim, int(rng.integers(1, 7)))
+        phis = np.concatenate([[0.0, math.pi], rng.uniform(-7, 14, 7)])
+        batched = per_phase_variance(povm, s, phis)
+        scalar = [per_phase_variance(povm, s, phi) for phi in phis]
+        direct = [
+            sum(
+                float(wrap_angle(e - phi)) ** 2 * conditional_probability(povm, s, phi, j)
+                for j, e in enumerate(povm.estimates)
+            )
+            for phi in phis
+        ]
+        assert batched.shape == phis.shape
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_allclose(batched, scalar, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched, direct, rtol=0, atol=1e-12)
+        grid = per_phase_variance(povm, s, phis[:8].reshape(2, 4))
+        np.testing.assert_allclose(grid.ravel(), batched[:8], rtol=0, atol=1e-15)
+
+    def test_negative_probability_clamped(self):
+        # outcome 0 has eigenvalue -5e-11 (inside the PSD floor) on |0>
+        els = np.array([np.diag([-5e-11, 1.0]), np.diag([1 + 5e-11, 0.0])], dtype=complex)
+        povm = EstimatePOM(np.array([1.0, math.pi]), els)
+        s = make_state([1, 0])
+        expected = math.pi**2 * (1 + 5e-11)
+        assert per_phase_variance(povm, s, 0.0) == pytest.approx(expected, rel=0, abs=1e-14)
+        assert per_phase_variance(povm, s, np.array([0.0, 2.0]))[1] == pytest.approx(
+            (math.pi - 2.0) ** 2 * (1 + 5e-11), rel=0, abs=1e-14
+        )
+
+    def test_kphase_sweep_precision(self):
+        # p(j|phi) is linear in e^{ik phi}, so the rounding of k*phi (k*phi
+        # up to 800 at K = 128) would alone leave variances near 2e-13
+        psi, povm, _ = kphase_construction(128)
+        variances = per_phase_variance(povm, psi, povm.estimates)
+        assert 0.0 <= variances.min() and variances.max() <= 1e-13
+
+    def test_imaginary_probability_rejected(self):
+        # an anti-Hermitian part inside the Hermitian tolerance still makes
+        # p(j|phi) complex beyond 1e-12 on this state
+        skew = np.array([[0, 4e-11], [-4e-11, 0]], dtype=complex)
+        half = np.eye(2, dtype=complex) / 2
+        povm = EstimatePOM(np.array([0.0, 1.0]), np.array([half + skew, half - skew]))
+        s = make_state([1, 1j])
+        with pytest.raises(ValidationError, match="imaginary part"):
+            per_phase_variance(povm, s, np.array([0.0, 1.0]))
+
+
 class TestKPhaseConstruction:
     def test_k2(self):
         psi, povm, report = kphase_construction(2)
@@ -207,6 +283,11 @@ class TestKPhaseConstruction:
     def test_invalid_k(self):
         with pytest.raises(ValidationError):
             kphase_construction(0)
+
+    def test_element_storage_capped(self):
+        # K = 407 would store 407^3 complex entries, just over 2^30 bytes
+        with pytest.raises(ValidationError, match="GiB"):
+            kphase_construction(407)
 
     def test_average_error_still_respects_bound(self):
         # zero error holds only at the K special phases; averaged over all

@@ -1,0 +1,62 @@
+"""Property tests of the measurement layer on random POMs and probe states.
+
+Each example draws a dimension, an outcome count and a generator seed; the
+POM and state are built from that seed, so a failing example replays."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from phaselimit import (
+    average_distribution,
+    covariant_average_distribution,
+    covariant_seed,
+    per_phase_variance,
+    wrap_angle,
+)
+from conftest import random_povm, random_state
+
+CASES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+PHASES = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=6)
+
+
+def _draw(case):
+    dim, n_outcomes, seed = case
+    rng = np.random.default_rng(seed)
+    return random_povm(rng, dim, n_outcomes), random_state(rng, dim)
+
+
+def _direct_probabilities(povm, state, phis):
+    """p(j|phi) = c_phi^H M_j c_phi as a quadratic form, shape (phases, outcomes)."""
+    c_phi = state.amplitudes * np.exp(-1j * np.outer(phis, np.arange(state.dim)))
+    return np.einsum("pn,jnm,pm->pj", np.conj(c_phi), povm.elements, c_phi).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASES)
+def test_average_distribution_three_paths(case):
+    povm, state = _draw(case)
+    moments = average_distribution(povm, state).moments
+    via_seed = covariant_average_distribution(covariant_seed(povm), state).moments
+    # p(j|phi) e^{-ik phi} has frequencies of size at most 2(dim-1), so the
+    # rectangle rule on 2*dim phases integrates it exactly
+    n_phi = 2 * state.dim
+    phis = 2 * math.pi * np.arange(n_phi) / n_phi
+    probs = _direct_probabilities(povm, state, phis)
+    k = np.arange(state.dim)
+    errors = povm.estimates[None, :] - phis[:, None]
+    quadrature = np.einsum("kpj,pj->k", np.exp(1j * k[:, None, None] * errors), probs) / n_phi
+    np.testing.assert_allclose(moments, via_seed, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(moments, quadrature, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASES, PHASES)
+def test_batched_sweep_matches_definition(case, phases):
+    povm, state = _draw(case)
+    phis = np.array(phases)
+    probs = np.maximum(_direct_probabilities(povm, state, phis), 0.0)
+    errors = wrap_angle(povm.estimates[None, :] - phis[:, None])
+    expected = np.sum(errors**2 * probs, axis=1)
+    np.testing.assert_allclose(per_phase_variance(povm, state, phis), expected, rtol=0, atol=1e-12)
