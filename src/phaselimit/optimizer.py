@@ -7,8 +7,10 @@ smallest eigenpair of B(lambda) = A + lambda*diag(0..dim-1) gives the
 unconstrained optimum of cost + lambda*mean, and lambda is found by a
 safeguarded secant on log(mean+1) against log(lambda), started from the
 large-mean asymptote lambda ~ 2 k_C^2/(mean+1)^3, until the achieved mean
-hits the target.  Sweeping the target mean produces the minimum-product
-curve (mean+1)*sqrt(cost).
+hits the target.  The unconstrained (lambda=0) solve is made only when the
+search needs it: when a multiplier lands below the target before any has
+landed above it, to tell an infeasible target from a short step.  Sweeping
+the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
 """
 
 from __future__ import annotations
@@ -215,14 +217,21 @@ def optimize_at_mean(
     The multiplier is found by a secant in log(lambda), seeded from the
     asymptote lambda ~ 2 k_C^2/(mean+1)^3 and safeguarded by the bracket of
     multipliers tried so far, until the achieved mean is within
-    mean_tol*(1+target_mean) of the target.  If the optimal state's tail
-    mass shows the truncation is inadequate, the dimension is doubled and
-    the solve repeated, up to the per-path dimension cap.
+    mean_tol*(1+target_mean) of the target.  The unconstrained (lambda=0)
+    solve runs only if a multiplier gives a mean below the target before
+    any gives one above it; ConvergenceError is raised if even lambda=0
+    falls short of the target, and its solution is the result if it meets
+    the target.  ``iterations`` counts every eigensolve.  If the optimal
+    state's tail mass shows the truncation is inadequate, the dimension is
+    doubled and the solve repeated, up to the per-path dimension cap.  A
+    negative ``seed`` is rejected.
     """
     if not math.isfinite(target_mean) or target_mean < 0:
         raise ValidationError("target mean must be finite and nonnegative")
     if not math.isfinite(mean_tol) or mean_tol <= 0:
         raise ValidationError("mean_tol must be finite and positive")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
     auto_dim = dim is None
     if auto_dim:
@@ -256,39 +265,50 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol, seed) -> OptimizationResu
         iterations += 1
         return solve_at_multiplier(kind, dim, lam, seed=seed)
 
-    lam = 0.0
-    mu, v, mean, residual = solve(lam)
-    if mean < target_mean - tol:
-        raise ConvergenceError(
-            f"unconstrained mean {mean:.6g} below target {target_mean:.6g}; "
-            "increase dim"
-        )
     # Secant on y = log(mean+1) against x = log(lambda), started on the
     # large-mean asymptote and kept inside the bracket lo < lambda < hi of
     # the multipliers tried so far (the mean is nonincreasing in lambda).
+    # The unconstrained (lambda=0) solve only tests feasibility, so it runs
+    # only when a multiplier has landed below the target with no multiplier
+    # above it yet; its point never enters the secant or the bracket.
     y_target = math.log1p(target_mean)
     lo, hi = 0.0, math.inf
-    next_lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
+    lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
     slope = ASYMPTOTIC_SLOPE
     last = None
-    while abs(mean - target_mean) > tol:
-        if iterations > MAX_MULTIPLIER_STEPS:
-            raise ConvergenceError(
-                f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
-                f"after {MAX_MULTIPLIER_STEPS} multiplier steps"
-            )
-        lam = next_lam
+    feasible = False
+    while True:
         mu, v, mean, residual = solve(lam)
+        if abs(mean - target_mean) <= tol:
+            break
         if mean > target_mean:
             lo = lam
+            feasible = True
         else:
             hi = lam
+            if not feasible:
+                unconstrained = solve(0.0)
+                if unconstrained[2] < target_mean - tol:
+                    raise ConvergenceError(
+                        f"unconstrained mean {unconstrained[2]:.6g} below target "
+                        f"{target_mean:.6g}; increase dim"
+                    )
+                if abs(unconstrained[2] - target_mean) <= tol:
+                    lam = 0.0
+                    mu, v, mean, residual = unconstrained
+                    break
+                feasible = True
+        if iterations >= MAX_MULTIPLIER_STEPS:
+            raise ConvergenceError(
+                f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
+                f"after {iterations} eigensolves"
+            )
         x, y = math.log(lam), math.log1p(mean)
         if last is not None and x != last[0]:
             secant = (y - last[1]) / (x - last[0])
             slope = secant if secant < 0 else ASYMPTOTIC_SLOPE
         last = (x, y)
-        next_lam = _next_multiplier(lam, (y_target - y) / slope, lo, hi)
+        lam = _next_multiplier(lam, (y_target - y) / slope, lo, hi)
 
     cost = mu - lam * mean
     tail_mass = float(np.sum(v[max(dim - 2, 0):] ** 2))

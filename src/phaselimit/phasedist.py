@@ -71,14 +71,14 @@ class PhaseDistribution:
 def canonical_distribution(state: ProbeState) -> PhaseDistribution:
     """Moments of the canonical phase density (1/2pi)|sum_n c_n e^{in theta}|^2.
 
-    m_k = sum_n c_n conj(c_{n+k}); all moments beyond dim-1 vanish.
+    m_k = sum_n c_n conj(c_{n+k}); all moments beyond dim-1 vanish.  They
+    are the autocorrelation of c, read from one FFT zero-padded to the
+    power of two at or above 2*dim points so that no lag wraps around.
     """
-    c = state.amplitudes
     d = state.dim
-    m = np.empty(d, dtype=complex)
+    spectrum = np.fft.fft(state.amplitudes, 1 << (2 * d - 1).bit_length())
+    m = np.conj(np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[:d])
     m[0] = 1.0
-    for k in range(1, d):
-        m[k] = np.dot(c[: d - k], np.conj(c[k:]))
     return PhaseDistribution(m)
 
 

@@ -228,6 +228,13 @@ def covariant_average_distribution(seed: np.ndarray, state: ProbeState) -> Phase
     return PhaseDistribution(m)
 
 
+def _variances(estimates: np.ndarray, phis: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_j wrap(est_j - phi_p)^2 p(j|phi_p) from the (phases, outcomes)
+    probability matrix."""
+    errors = wrap_angle(estimates[None, :] - phis[:, None])
+    return np.einsum("pj,pj->p", errors**2, probs)
+
+
 def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi):
     """Var_phi of the estimate: sum_j wrap(est_j - phi)^2 p(j|phi).
 
@@ -237,9 +244,7 @@ def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi):
     """
     phis = np.asarray(phi, dtype=float)
     flat = phis.reshape(-1)
-    probs = _phase_probabilities(povm, state, flat)
-    errors = wrap_angle(povm.estimates[None, :] - flat[:, None])
-    var = np.einsum("pj,pj->p", errors**2, probs)
+    var = _variances(povm.estimates, flat, _phase_probabilities(povm, state, flat))
     if phis.ndim == 0:
         return float(var[0])
     return var.reshape(phis.shape)
@@ -251,8 +256,9 @@ def kphase_construction(K: int):
     shifted copies.
 
     Returns (state, povm, report); the report carries the Gram matrix of the
-    shifted states, the success probabilities at each special phase, and the
-    mean number (K-1)/2.
+    shifted states, the success probabilities at each special phase, the
+    mean number (K-1)/2 and the estimate's variance at each special phase,
+    all read from one phase-by-outcome probability matrix.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
@@ -268,12 +274,13 @@ def kphase_construction(K: int):
     elements = np.einsum("km,kn->kmn", shifted, np.conj(shifted))
     povm = EstimatePOM(phis, elements)
     gram = shifted @ shifted.conj().T
-    success = np.diagonal(_phase_probabilities(povm, psi, phis))
+    probs = _phase_probabilities(povm, psi, phis)
     report = {
         "K": K,
         "mean_number": (K - 1) / 2,
         "gram": [[[float(g.real), float(g.imag)] for g in row] for row in gram],
         "gram_identity_error": float(np.max(np.abs(gram - np.eye(K)))),
-        "success_probabilities": [float(p) for p in success],
+        "success_probabilities": [float(p) for p in np.diagonal(probs)],
+        "per_phase_variance": _variances(povm.estimates, phis, probs).tolist(),
     }
     return psi, povm, report

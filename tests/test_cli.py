@@ -100,6 +100,8 @@ class TestBadInput:
             ("optimize", "--mean", "1", "--dim", "1000000"),
             ("optimize", "--kind", "surrogate", "--mean", "1", "--dim", "2000000"),
             ("discriminate", "--K", "2000"),
+            ("optimize", "--kind", "surrogate", "--mean", "100", "--seed", "-1"),
+            ("curve", "--kind", "surrogate", "--means", "1,100", "--seed", "-5"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, argv):

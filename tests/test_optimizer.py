@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from phaselimit import (
     ConvergenceError,
@@ -11,10 +13,12 @@ from phaselimit import (
     canonical_distribution,
     cost_matrix,
     figure2_curve,
+    k_C,
     make_state,
     mean_square_deviation,
     min_eigenpair,
     optimize_at_mean,
+    optimizer,
     solve_at_multiplier,
     surrogate_cost,
 )
@@ -213,6 +217,19 @@ def reference_multiplier(kind, target, dim):
     raise AssertionError("reference bisection did not converge")
 
 
+def spy_solves():
+    """Patch optimizer.solve_at_multiplier to record each (dim, lambda) it
+    is called with; returns the patcher and the list it fills."""
+    calls = []
+    real = optimizer.solve_at_multiplier
+
+    def spy(kind, dim, lam, seed=0):
+        calls.append((dim, lam))
+        return real(kind, dim, lam, seed=seed)
+
+    return mock.patch.object(optimizer, "solve_at_multiplier", spy), calls
+
+
 class TestMultiplierSearch:
     # Mean 300 runs at dim 1200 (tail mass 3e-11 < TAIL_TOL) rather than the
     # default 2400, where each dense solve of the reference takes about 1 s.
@@ -246,6 +263,68 @@ class TestMultiplierSearch:
         # a step inside the bracket is taken as it is
         assert _next_multiplier(1.0, math.log(2.0), 1.0, 9.0) == pytest.approx(2.0)
 
+    # the default-dim targets of test_matches_reference_bisection
+    @pytest.mark.parametrize(
+        "kind, target",
+        [
+            (CostKind.EXACT_SQUARE, 0.5),
+            (CostKind.EXACT_SQUARE, 3.0),
+            (CostKind.EXACT_SQUARE, 32.0),
+            (CostKind.SURROGATE, 0.4),
+            (CostKind.SURROGATE, 40.0),
+            (CostKind.SURROGATE, 4000.0),
+        ],
+    )
+    def test_no_unconstrained_solve_at_default_dim(self, kind, target):
+        # the first multiplier lands above the target, which proves the
+        # target feasible, so lambda = 0 is never solved
+        patcher, calls = spy_solves()
+        with patcher:
+            res = optimize_at_mean(kind, target)
+        assert all(lam > 0 for _, lam in calls)
+        assert res.iterations == sum(1 for dim, _ in calls if dim == res.dim)
+
+    def test_infeasible_target_found_after_first_multiplier(self):
+        patcher, calls = spy_solves()
+        with patcher, pytest.raises(ConvergenceError, match="increase dim"):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 1.9, dim=3)
+        lams = [lam for _, lam in calls]
+        assert lams[0] > 0
+        assert lams[1:] == [0.0]
+
+    def test_feasible_undershoot_keeps_lambda_zero_out_of_the_search(self):
+        # at dim 4 the unconstrained mean is 1.5 and the first multiplier
+        # gives about 1.12 < 1.2: lambda = 0 is solved once, right after it,
+        # and the next step is the asymptote-slope step from the first point
+        target = 1.2
+        patcher, calls = spy_solves()
+        with patcher:
+            res = optimize_at_mean(CostKind.EXACT_SQUARE, target, dim=4)
+        lams = [lam for _, lam in calls]
+        lam0 = 2 * k_C() ** 2 / (target + 1) ** 3
+        assert lams[:2] == [lam0, 0.0]
+        assert lams.count(0.0) == 1
+        mean0 = solve_at_multiplier(CostKind.EXACT_SQUARE, 4, lam0)[2]
+        assert lams[2] == pytest.approx(lam0 * ((1 + mean0) / (1 + target)) ** 3, rel=1e-12)
+        assert res.iterations == len(calls)
+        assert abs(res.achieved_mean - target) <= 1e-8 * (1 + target)
+        _, ref_cost = reference_multiplier(CostKind.EXACT_SQUARE, target, 4)
+        assert res.cost == pytest.approx(ref_cost, abs=1e-8)
+
+    def test_unconstrained_mean_returns_lambda_zero(self):
+        # at dim 4 the unconstrained optimum has mean 1.5 exactly
+        res = optimize_at_mean(CostKind.EXACT_SQUARE, 1.5, dim=4)
+        assert res.lam == 0.0
+        assert res.cost == res.eigenvalue
+        assert res.iterations == 2
+
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(ValidationError, match="seed"):
+            optimize_at_mean(kind, 100.0, seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            figure2_curve(kind, [1.0, 100.0], seed=-5)
+
     def test_step_cap_raises(self):
         # a tolerance below double precision can never be met
         with pytest.raises(ConvergenceError):
@@ -261,6 +340,24 @@ class TestMultiplierSearch:
             figure2_curve(CostKind.SURROGATE, [1.0], mean_tol=bad)
         with pytest.raises(ValidationError):
             figure2_curve(CostKind.SURROGATE, [1.0, bad])
+
+
+# Ascending means in (0, 10], at least 1e-3 apart: targets closer than the
+# mean tolerance could swap their achieved means.
+ASCENDING_MEANS = st.lists(st.integers(1, 10_000), min_size=2, max_size=5, unique=True).map(
+    lambda ks: [k / 1000 for k in sorted(ks)]
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ASCENDING_MEANS)
+def test_exact_product_curve_nonincreasing(means):
+    patcher, calls = spy_solves()
+    with patcher:
+        rows = figure2_curve(CostKind.EXACT_SQUARE, means)
+    products = [r["product"] for r in rows]
+    assert all(b <= a + 1e-12 for a, b in zip(products, products[1:]))
+    assert all(lam > 0 for _, lam in calls)
 
 
 class TestFigure2Curve:

@@ -28,7 +28,27 @@ UNIFORM = PhaseDistribution(np.array([1.0 + 0j]))
 HALF_HALF = canonical_distribution(make_state([1, 1]))
 
 
+def canonical_moments_by_loop(state):
+    """Reference: m_k = sum_n c_n conj(c_{n+k}) as one dot product per lag."""
+    c = state.amplitudes
+    d = state.dim
+    m = np.empty(d, dtype=complex)
+    m[0] = 1.0
+    for k in range(1, d):
+        m[k] = np.dot(c[: d - k], np.conj(c[k:]))
+    return m
+
+
 class TestCanonicalDistribution:
+    def test_fft_matches_loop(self, rng):
+        for d in range(1, 601):
+            state = random_state(rng, d, complex_amps=bool(d % 2))
+            moments = canonical_distribution(state).moments
+            assert moments[0] == 1.0
+            np.testing.assert_allclose(
+                moments, canonical_moments_by_loop(state), rtol=0, atol=1e-14
+            )
+
     def test_fock_state_is_uniform(self):
         amps = np.zeros(6)
         amps[3] = 1

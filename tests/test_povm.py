@@ -284,6 +284,16 @@ class TestKPhaseConstruction:
         with pytest.raises(ValidationError):
             kphase_construction(0)
 
+    @pytest.mark.parametrize("K", [1, 2, 7, 64])
+    def test_report_variances_match_public_sweep(self, K):
+        psi, povm, report = kphase_construction(K)
+        phis = 2 * math.pi * np.arange(K) / K
+        assert report["per_phase_variance"] == per_phase_variance(povm, psi, phis).tolist()
+        assert list(report) == [
+            "K", "mean_number", "gram", "gram_identity_error",
+            "success_probabilities", "per_phase_variance",
+        ]
+
     def test_element_storage_capped(self):
         # K = 407 would store 407^3 complex entries, just over 2^30 bytes
         with pytest.raises(ValidationError, match="GiB"):

@@ -1,7 +1,8 @@
 """Property tests of the measurement layer on random POMs and probe states.
 
-Each example draws a dimension, an outcome count and a generator seed; the
-POM and state are built from that seed, so a failing example replays."""
+Each example draws a dimension, an outcome count (or amplitude kind) and a
+generator seed; the POM and state are built from that seed, so a failing
+example replays."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from phaselimit import (
     average_distribution,
+    canonical_distribution,
     covariant_average_distribution,
     covariant_seed,
     per_phase_variance,
@@ -18,6 +20,7 @@ from phaselimit import (
 from conftest import random_povm, random_state
 
 CASES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+STATES = st.tuples(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
 PHASES = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=6)
 
 
@@ -60,3 +63,20 @@ def test_batched_sweep_matches_definition(case, phases):
     errors = wrap_angle(povm.estimates[None, :] - phis[:, None])
     expected = np.sum(errors**2 * probs, axis=1)
     np.testing.assert_allclose(per_phase_variance(povm, state, phis), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(STATES)
+def test_canonical_moments_match_quadrature(case):
+    dim, complex_amps, seed = case
+    state = random_state(np.random.default_rng(seed), dim, complex_amps)
+    # (1/2pi)|sum_n c_n e^{in theta}|^2 e^{ik theta} has frequencies of size
+    # at most 2(dim-1), so the rectangle rule on 2*dim phases is exact
+    n_theta = 2 * dim
+    thetas = 2 * math.pi * np.arange(n_theta) / n_theta
+    density = np.abs(np.exp(1j * np.outer(thetas, np.arange(dim))) @ state.amplitudes) ** 2
+    k = np.arange(dim)
+    quadrature = np.exp(1j * np.outer(k, thetas)) @ density / n_theta
+    np.testing.assert_allclose(
+        canonical_distribution(state).moments, quadrature, rtol=0, atol=1e-12
+    )
