@@ -11,6 +11,8 @@ hits the target.  The unconstrained (lambda=0) solve is made only when the
 search needs it: when a multiplier lands below the target before any has
 landed above it, to tell an infeasible target from a short step.  Sweeping
 the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
+B(lambda) is a dense Toeplitz matrix for the exact cost and a sparse band
+for the surrogate; one eigensolver serves both, chosen by dimension alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .fock import ProbeState
 
 DENSE_DIM_LIMIT = 4096
 SPARSE_DIM_LIMIT = 1 << 20
-SPARSE_THRESHOLD = 512  # pentadiagonal problems above this go to the sparse path
+DENSE_EIGH_MAX_DIM = 256  # above it shift-invert Lanczos beats dense eigh
+SURROGATE_BAND = (2.5, -4.0 / 3.0, 1.0 / 12.0)  # diagonal, offsets 1 and 2
 TAIL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 MAX_MULTIPLIER_STEPS = 100
@@ -76,33 +79,30 @@ def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
     of the real unit vector c.
 
     Exact square: dense Toeplitz from the cosine series of theta^2
-    (diagonal pi^2/3, offset-k entries 2(-1)^k/k^2).  Surrogate:
-    pentadiagonal with diagonal 5/2, first offset -4/3, second offset 1/12.
+    (diagonal pi^2/3, offset-k entries 2(-1)^k/k^2).  Surrogate: the
+    pentadiagonal band SURROGATE_BAND (diagonal 5/2, first offset -4/3,
+    second offset 1/12), densified.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    if kind is CostKind.EXACT_SQUARE:
-        k = np.arange(dim)
-        col = np.empty(dim)
-        col[0] = math.pi**2 / 3
-        if dim > 1:
-            col[1:] = 2.0 * (-1.0) ** k[1:] / k[1:] ** 2
-        return scipy.linalg.toeplitz(col)
-    a = np.full(dim, 2.5)
-    b = np.full(max(dim - 1, 0), -4.0 / 3.0)
-    c = np.full(max(dim - 2, 0), 1.0 / 12.0)
-    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1) + np.diag(c, 2) + np.diag(c, -2)
+    if kind is CostKind.SURROGATE:
+        return _surrogate_sparse(dim, 0.0).toarray()
+    k = np.arange(dim)
+    col = np.empty(dim)
+    col[0] = math.pi**2 / 3
+    if dim > 1:
+        col[1:] = 2.0 * (-1.0) ** k[1:] / k[1:] ** 2
+    return scipy.linalg.toeplitz(col)
 
 
 def _surrogate_sparse(dim: int, lam: float) -> scipy.sparse.csc_matrix:
-    diags = [
-        np.full(dim - 2, 1.0 / 12.0),
-        np.full(dim - 1, -4.0 / 3.0),
-        2.5 + lam * np.arange(dim),
-        np.full(dim - 1, -4.0 / 3.0),
-        np.full(dim - 2, 1.0 / 12.0),
-    ]
-    return scipy.sparse.diags(diags, [-2, -1, 0, 1, 2], format="csc")
+    """Surrogate cost matrix plus lam*diag(0..dim-1), sparse; the band is
+    cut to the offsets that fit, so dims 1 and 2 are exact too."""
+    width = min(dim - 1, 2)
+    offsets = range(-width, width + 1)
+    diagonals = [SURROGATE_BAND[abs(k)] for k in offsets]
+    diagonals[width] = SURROGATE_BAND[0] + lam * np.arange(dim)
+    return scipy.sparse.diags(diagonals, offsets, shape=(dim, dim), format="csc")
 
 
 @functools.lru_cache(maxsize=1)
@@ -114,41 +114,32 @@ def _base_matrix(kind: CostKind, dim: int) -> np.ndarray:
     return a
 
 
-def _matrix_norm_estimate(matrix) -> float:
-    if scipy.sparse.issparse(matrix):
-        return float(abs(matrix).sum(axis=1).max())
-    return float(np.abs(matrix).sum(axis=1).max())
-
-
-def min_eigenpair(matrix, sparse: bool = False, seed: int = 0):
+def min_eigenpair(matrix, seed: int = 0):
     """Algebraically smallest eigenvalue and unit eigenvector of a symmetric
-    matrix, with a certified residual ||Av - mu v|| <= 1e-9 ||A||.
+    matrix, dense or scipy-sparse, with a certified residual
+    ||Av - mu v|| <= 1e-9 ||A||.
 
-    Dense path: LAPACK subset solver.  Sparse path: shift-invert Lanczos at
-    sigma=0 (valid for the positive-definite penalized cost matrices used
-    here), deterministic through a seeded start vector.
+    Up to DENSE_EIGH_MAX_DIM the LAPACK subset solver runs on the matrix
+    (densified if sparse).  Above it, shift-invert Lanczos at sigma=0 finds
+    the eigenvalue nearest 0, which is the smallest only for a positive
+    definite matrix, as every B(lambda) here is; a nonpositive result is
+    rejected.  Its start vector is drawn from ``seed``, so runs repeat.
     """
-    if scipy.sparse.issparse(matrix):
-        sparse = True
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValidationError("matrix must be square")
-    if not sparse:
+    small = n <= DENSE_EIGH_MAX_DIM
+    if small and scipy.sparse.issparse(matrix):
+        matrix = matrix.toarray()
+    if not scipy.sparse.issparse(matrix):
         matrix = np.asarray(matrix, dtype=float)
-        # Exact equality, which every matrix built here passes, costs a small
-        # fraction of the tolerance test it short-circuits.
-        if not (
-            np.array_equal(matrix, matrix.T)
-            or np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0)
-        ):
-            raise ValidationError("matrix is not symmetric")
+    # Exact equality, which every matrix built here passes, costs a small
+    # fraction of the tolerance test it short-circuits (NaN fails both).
+    if (matrix != matrix.T).max() and not abs(matrix - matrix.T).max() <= 1e-12:
+        raise ValidationError("matrix is not symmetric")
+    if small:
         vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-        mu, v = float(vals[0]), vecs[:, 0]
     else:
-        if (abs(matrix - matrix.T) > 1e-12).nnz:
-            raise ValidationError("matrix is not symmetric")
-        if n < 8:
-            return min_eigenpair(matrix.toarray(), sparse=False)
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
@@ -156,10 +147,12 @@ def min_eigenpair(matrix, sparse: bool = False, seed: int = 0):
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceError(f"sparse eigensolver did not converge: {exc}") from exc
-        mu, v = float(vals[0]), vecs[:, 0]
+        if not vals[0] > 0:
+            raise ValidationError("matrix is not positive definite")
+    mu, v = float(vals[0]), vecs[:, 0]
     v = v / np.linalg.norm(v)
     residual = float(np.linalg.norm(matrix @ v - mu * v))
-    norm_est = _matrix_norm_estimate(matrix)
+    norm_est = float(abs(matrix).sum(axis=1).max())
     if residual > RESIDUAL_TOL * norm_est:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}*||A|| = "
@@ -178,12 +171,12 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0):
         raise ValidationError("lambda must be nonnegative")
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    if kind is CostKind.SURROGATE and dim > SPARSE_THRESHOLD:
-        mu, v, residual = min_eigenpair(_surrogate_sparse(dim, lam), sparse=True, seed=seed)
-    else:
+    if kind is CostKind.EXACT_SQUARE:
         b = _base_matrix(kind, dim).copy()
         b[np.diag_indices(dim)] += lam * np.arange(dim)
-        mu, v, residual = min_eigenpair(b)
+    else:
+        b = _surrogate_sparse(dim, lam)
+    mu, v, residual = min_eigenpair(b, seed=seed)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

@@ -37,8 +37,8 @@ class PhaseDistribution:
             raise ValidationError("moments must be a nonempty 1-d vector")
         if m[0] != 1.0:
             raise ValidationError(f"m_0 must be exactly 1, got {m[0]!r}")
-        if np.any(np.abs(m) > 1 + 1e-12):
-            raise ValidationError("moment magnitudes must not exceed 1")
+        if not np.all(np.abs(m) <= 1 + 1e-12):  # NaN fails too
+            raise ValidationError("moments must be finite with magnitudes at most 1")
         points = 4096
         while points <= 2 * (m.size - 1):
             points *= 2

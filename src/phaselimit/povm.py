@@ -61,8 +61,8 @@ class EstimatePOM:
         object.__setattr__(self, "elements", els)
         if est.ndim != 1 or est.size == 0:
             raise ValidationError("need at least one outcome")
-        if np.any(est < 0) or np.any(est >= TWO_PI):
-            raise ValidationError("estimates must lie in [0, 2*pi)")
+        if not np.all((est >= 0) & (est < TWO_PI)):  # NaN fails too
+            raise ValidationError("estimates must be finite and lie in [0, 2*pi)")
         if els.ndim != 3 or els.shape[0] != est.size or els.shape[1] != els.shape[2]:
             raise ValidationError("elements must be (n_outcomes, dim, dim)")
         for start in range(0, est.size, VALIDATION_CHUNK):
@@ -94,7 +94,7 @@ class EstimatePOM:
     @classmethod
     def from_json(cls, data) -> "EstimatePOM":
         try:
-            est = [o["estimate"] for o in data["outcomes"]]
+            est = [float(o["estimate"]) for o in data["outcomes"]]
             els = [
                 [[complex(re, im) for re, im in row] for row in o["matrix"]]
                 for o in data["outcomes"]

@@ -102,9 +102,16 @@ class TestBadInput:
             ("discriminate", "--K", "2000"),
             ("optimize", "--kind", "surrogate", "--mean", "100", "--seed", "-1"),
             ("curve", "--kind", "surrogate", "--means", "1,100", "--seed", "-5"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "null-estimate.json"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "text-estimate.json"),
         ],
     )
-    def test_exits_1_with_one_line(self, capsys, argv):
+    def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        # POM files named in argv, relative to the working directory
+        for name, estimate in (("null-estimate.json", None), ("text-estimate.json", "x")):
+            pom = {"dim": 1, "outcomes": [{"estimate": estimate, "matrix": [[[1.0, 0.0]]]}]}
+            (tmp_path / name).write_text(json.dumps(pom))
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

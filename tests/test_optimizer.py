@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,14 @@ class TestCostMatrix:
         assert np.allclose(np.triu(a, 3), 0)
         assert a[0, 2] == pytest.approx(1 / 12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_surrogate_small_dims(self, dim):
+        a = cost_matrix(CostKind.SURROGATE, dim)
+        assert a.shape == (dim, dim)
+        offset = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+        band = np.select([offset == 0, offset == 1, offset == 2], [2.5, -4 / 3, 1 / 12], 0.0)
+        assert np.array_equal(a, band)
+
     def test_quadratic_form_matches_phasedist(self, rng):
         for kind, functional in [
             (CostKind.EXACT_SQUARE, mean_square_deviation),
@@ -82,10 +91,24 @@ class TestMinEigenpair:
 
     def test_sparse_matches_dense(self):
         b = _surrogate_sparse(600, 0.3)
-        mu_s, v_s, _ = min_eigenpair(b, sparse=True)
-        mu_d, v_d, _ = min_eigenpair(b.toarray())
-        assert mu_s == pytest.approx(mu_d, abs=1e-10)
-        assert abs(abs(v_s @ v_d) - 1) < 1e-8
+        mu_s, v_s, _ = min_eigenpair(b)
+        vals, vecs = scipy.linalg.eigh(b.toarray(), subset_by_index=[0, 0])
+        assert mu_s == pytest.approx(vals[0], abs=1e-10)
+        assert abs(abs(v_s @ vecs[:, 0]) - 1) < 1e-8
+
+    def test_either_form_at_either_size(self):
+        # the method follows the size, not the input form
+        for b in (_surrogate_sparse(100, 0.3), cost_matrix(CostKind.EXACT_SQUARE, 300)):
+            mu, v, residual = min_eigenpair(b)
+            dense = b.toarray() if scipy.sparse.issparse(b) else b
+            assert mu == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
+            assert residual < 1e-12
+
+    def test_rejects_indefinite_above_dense_limit(self):
+        # shift-invert finds the eigenvalue nearest 0, here -0.1, not -5
+        m = np.diag(np.concatenate([[-5.0, -0.1], np.linspace(1.0, 2.0, 298)]))
+        with pytest.raises(ValidationError, match="positive definite"):
+            min_eigenpair(m)
 
     def test_tolerates_rounding_asymmetry(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
@@ -97,6 +120,10 @@ class TestMinEigenpair:
             min_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValidationError):
             min_eigenpair(scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        nan = np.array([[1.0, math.nan], [math.nan, 1.0]])
+        for m in (nan, scipy.sparse.csc_matrix(nan)):
+            with pytest.raises(ValidationError):
+                min_eigenpair(m)
 
 
 class TestSolveAtMultiplier:
@@ -110,6 +137,12 @@ class TestSolveAtMultiplier:
         assert mu == pytest.approx(7 / 6, abs=1e-12)
         assert mean == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(v, [1 / math.sqrt(2)] * 2, atol=1e-10)
+
+    def test_surrogate_dim1(self):
+        mu, v, mean, _ = solve_at_multiplier(CostKind.SURROGATE, 1, 0.7)
+        assert mu == 2.5
+        assert np.array_equal(v, [1.0])
+        assert mean == 0.0
 
     def test_matches_dense_oracle_dim8(self):
         lam = 1.0
@@ -135,6 +168,29 @@ class TestSolveAtMultiplier:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
             solve_at_multiplier(CostKind.EXACT_SQUARE, 4, -1.0)
+
+
+def _cross_check_cases():
+    for kind in CostKind:
+        for dim in (255, 256, 257, 600, 1200):
+            if dim == 1200 and kind is CostKind.SURROGATE:
+                continue
+            # lambda_0 of the multiplier search at the mean whose default dim this is
+            lam0 = 2.0 * k_C() ** 2 / (dim / 8 + 1.0) ** 3
+            for name, lam in (("0", 0.0), ("lam0", lam0), ("1e3", 1e3)):
+                yield pytest.param(kind, dim, lam, id=f"{kind.value}-{dim}-{name}")
+
+
+@pytest.mark.parametrize("kind,dim,lam", list(_cross_check_cases()))
+def test_solve_matches_dense_eigh(kind, dim, lam):
+    """Both methods of min_eigenpair, on both sides of DENSE_EIGH_MAX_DIM,
+    against a full dense eigh of the same B(lambda)."""
+    mu, v, mean, _ = solve_at_multiplier(kind, dim, lam)
+    b = cost_matrix(kind, dim) + lam * np.diag(np.arange(dim, dtype=float))
+    vals, vecs = scipy.linalg.eigh(b, subset_by_index=[0, 0])
+    assert abs(mu - vals[0]) <= 1e-10 * max(1.0, np.abs(b).sum(axis=1).max())
+    assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
+    assert mean == pytest.approx(np.arange(dim) @ v**2, abs=1e-12)
 
 
 class TestOptimizeAtMean:

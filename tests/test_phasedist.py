@@ -219,3 +219,12 @@ class TestSerialization:
             PhaseDistribution(np.array([1.0, 1.5]))
         with pytest.raises(ValidationError):
             PhaseDistribution(np.array([0.99, 0.1]))
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, complex(0.0, math.nan), math.inf, complex(-math.inf, 0.0)]
+    )
+    def test_non_finite_moment_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            PhaseDistribution(np.array([1.0, 0.2, bad]))
+        with pytest.raises(ValidationError, match="finite"):
+            PhaseDistribution.from_json({"moments": [[1, 0], [bad.real, bad.imag]]})

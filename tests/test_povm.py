@@ -60,6 +60,18 @@ class TestEstimatePOM:
         with pytest.raises(ValidationError):
             EstimatePOM(np.array([2 * math.pi]), np.eye(2, dtype=complex)[None])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_estimate(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            EstimatePOM(np.array([bad]), np.eye(2, dtype=complex)[None])
+
+    @pytest.mark.parametrize("bad", [None, "x", [1.0]])
+    def test_from_json_rejects_non_number_estimate(self, bad):
+        data = number_povm(2).to_json()
+        data["outcomes"][1]["estimate"] = bad
+        with pytest.raises(ValidationError):
+            EstimatePOM.from_json(data)
+
     @staticmethod
     def _split_identity(n=20, dim=3):
         return np.zeros(n), np.array([np.eye(dim, dtype=complex) / n] * n)

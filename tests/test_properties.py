@@ -1,4 +1,5 @@
-"""Property tests of the measurement layer on random POMs and probe states.
+"""Property tests of the measurement layer and the bound chain on random
+POMs and probe states.
 
 Each example draws a dimension, an outcome count (or amplitude kind) and a
 generator seed; the POM and state are built from that seed, so a failing
@@ -14,6 +15,8 @@ from phaselimit import (
     canonical_distribution,
     covariant_average_distribution,
     covariant_seed,
+    entropy_chain_report,
+    make_state,
     per_phase_variance,
     wrap_angle,
 )
@@ -21,6 +24,7 @@ from conftest import random_povm, random_state
 
 CASES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 STATES = st.tuples(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
+MASKED_STATES = st.tuples(st.integers(1, 63), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
 PHASES = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=6)
 
 
@@ -80,3 +84,17 @@ def test_canonical_moments_match_quadrature(case):
     np.testing.assert_allclose(
         canonical_distribution(state).moments, quadrature, rtol=0, atol=1e-12
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(MASKED_STATES)
+def test_entropy_chain_holds_on_random_states(case):
+    # complex amplitudes with each number zeroed with probability p (one
+    # kept), so gapped and sparse number distributions are drawn too
+    dim, p, seed = case
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps[rng.uniform(size=dim) < p] = 0.0
+    amps[rng.integers(dim)] = 1.0
+    report = entropy_chain_report(make_state(amps))
+    assert report.all_satisfied, report.to_text()
