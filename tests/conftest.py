@@ -25,16 +25,19 @@ def msd_quadrature(dist, nodes=512) -> float:
 
 
 def random_povm(rng, dim, n_outcomes) -> EstimatePOM:
-    """Random informationally-unstructured POM: conjugate random PSD blocks
-    by S^{-1/2} so they sum to the identity."""
-    blocks = []
-    for _ in range(n_outcomes):
-        r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(r @ r.conj().T)
-    total = sum(blocks)
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    elements = np.array([inv_sqrt @ b @ inv_sqrt for b in blocks])
+    """Random informationally-unstructured POM: M_j = S^{-1/2} r_j r_j^H S^{-1/2}
+    with S = sum_j r_j r_j^H, so the elements sum to the identity.
+
+    S^{-1/2} [r_1 ... r_n] is the polar factor U V^H of the stacked blocks,
+    taken from an SVD so completeness holds to rounding however ill-conditioned
+    S is (forming S^{-1/2} directly leaves errors of order cond(S) * eps)."""
+    blocks = [
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(n_outcomes)
+    ]
+    u, _, vh = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+    w = (u @ vh).reshape(dim, n_outcomes, dim).transpose(1, 0, 2)  # (j, dim, dim)
+    elements = w @ w.conj().transpose(0, 2, 1)
     estimates = np.sort(rng.uniform(0, 2 * math.pi, n_outcomes))
     return EstimatePOM(estimates, elements)
 
