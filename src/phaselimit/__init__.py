@@ -36,6 +36,7 @@ from .bounds import (
 from .optimizer import (
     CostKind,
     OptimizationResult,
+    SymmetricBand,
     cost_matrix,
     figure2_curve,
     min_eigenpair,

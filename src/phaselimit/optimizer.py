@@ -1,6 +1,6 @@
 """Minimum phase-error cost over probe states at fixed generator mean.
 
-The cost <theta^2> (or its sparse trigonometric lower bound) is a quadratic
+The cost <theta^2> (or its trigonometric lower bound) is a quadratic
 form c^T A c in the real amplitude vector, so the constrained minimum at
 mean <N> is found with a Lagrange multiplier: for each lambda >= 0, the
 smallest eigenpair of B(lambda) = A + lambda*diag(0..dim-1) gives the
@@ -11,8 +11,13 @@ hits the target.  The unconstrained (lambda=0) solve is made only when the
 search needs it: when a multiplier lands below the target before any has
 landed above it, to tell an infeasible target from a short step.  Sweeping
 the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
-B(lambda) is a dense Toeplitz matrix for the exact cost and a sparse band
-for the surrogate; one eigensolver serves both, chosen by dimension alone.
+B(lambda) is a dense Toeplitz matrix for the exact cost.  For the
+surrogate it is pentadiagonal and is held as its lower band (SymmetricBand,
+LAPACK storage, 3 x dim): up to DENSE_EIGH_MAX_DIM the band is solved by
+LAPACK's banded subset solver, above it a banded Cholesky factor is both the
+shift-invert operator and the certificate that B(lambda) is positive
+definite.  One eigensolver serves both kinds; its method follows the
+dimension and the storage.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import bounds
@@ -33,7 +37,7 @@ from .fock import ProbeState
 
 DENSE_DIM_LIMIT = 4096
 SPARSE_DIM_LIMIT = 1 << 20
-DENSE_EIGH_MAX_DIM = 256  # above it shift-invert Lanczos beats dense eigh
+DENSE_EIGH_MAX_DIM = 256  # above it shift-invert Lanczos beats the subset solvers
 SURROGATE_BAND = (2.5, -4.0 / 3.0, 1.0 / 12.0)  # diagonal, offsets 1 and 2
 TAIL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -81,12 +85,12 @@ def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
     Exact square: dense Toeplitz from the cosine series of theta^2
     (diagonal pi^2/3, offset-k entries 2(-1)^k/k^2).  Surrogate: the
     pentadiagonal band SURROGATE_BAND (diagonal 5/2, first offset -4/3,
-    second offset 1/12), densified.
+    second offset 1/12), densified from the banded storage the solver uses.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     if kind is CostKind.SURROGATE:
-        return _surrogate_sparse(dim, 0.0).toarray()
+        return _surrogate_band(dim, 0.0).toarray()
     k = np.arange(dim)
     col = np.empty(dim)
     col[0] = math.pi**2 / 3
@@ -95,14 +99,50 @@ def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col)
 
 
-def _surrogate_sparse(dim: int, lam: float) -> scipy.sparse.csc_matrix:
-    """Surrogate cost matrix plus lam*diag(0..dim-1), sparse; the band is
-    cut to the offsets that fit, so dims 1 and 2 are exact too."""
-    width = min(dim - 1, 2)
-    offsets = range(-width, width + 1)
-    diagonals = [SURROGATE_BAND[abs(k)] for k in offsets]
-    diagonals[width] = SURROGATE_BAND[0] + lam * np.arange(dim)
-    return scipy.sparse.diags(diagonals, offsets, shape=(dim, dim), format="csc")
+@dataclass(frozen=True, eq=False)
+class SymmetricBand:
+    """Symmetric banded matrix in LAPACK lower storage: ``band[k, j]`` is
+    the entry (j+k, j), so row 0 is the diagonal and row k the k-th
+    subdiagonal, whose last k entries are unused.  ``shape`` is the shape
+    of the full matrix."""
+
+    band: np.ndarray
+
+    def __post_init__(self):
+        band = np.asarray(self.band, dtype=float)
+        if band.ndim != 2 or not 1 <= band.shape[0] <= band.shape[1]:
+            raise ValidationError("band must be 2-d with 1 <= rows <= columns")
+        object.__setattr__(self, "band", band)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.band.shape[1], self.band.shape[1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B @ x for a vector x, one pass per stored diagonal."""
+        y = self.band[0] * x
+        for k in range(1, self.band.shape[0]):
+            sub = self.band[k, :-k]
+            y[k:] += sub * x[:-k]
+            y[:-k] += sub * x[k:]
+        return y
+
+    def toarray(self) -> np.ndarray:
+        a = np.diag(self.band[0])
+        for k in range(1, self.band.shape[0]):
+            off = np.diag(self.band[k, :-k], -k)
+            a += off + off.T
+        return a
+
+
+def _surrogate_band(dim: int, lam: float) -> SymmetricBand:
+    """Surrogate cost matrix plus lam*diag(0..dim-1) as its lower band; the
+    band is cut to the offsets that fit, so dims 1 and 2 are exact too."""
+    band = np.zeros((min(dim, len(SURROGATE_BAND)), dim))
+    band[0] = SURROGATE_BAND[0] + lam * np.arange(dim)
+    for k in range(1, band.shape[0]):
+        band[k, : dim - k] = SURROGATE_BAND[k]
+    return SymmetricBand(band)
 
 
 @functools.lru_cache(maxsize=1)
@@ -116,34 +156,60 @@ def _base_matrix(kind: CostKind, dim: int) -> np.ndarray:
 
 def min_eigenpair(matrix, seed: int = 0):
     """Algebraically smallest eigenvalue and unit eigenvector of a symmetric
-    matrix, dense or scipy-sparse, with a certified residual
-    ||Av - mu v|| <= 1e-9 ||A||.
+    matrix, dense or a SymmetricBand, with a certified residual
+    ||Av - mu v|| <= 1e-9 ||A||_inf.
 
-    Up to DENSE_EIGH_MAX_DIM the LAPACK subset solver runs on the matrix
-    (densified if sparse).  Above it, shift-invert Lanczos at sigma=0 finds
-    the eigenvalue nearest 0, which is the smallest only for a positive
-    definite matrix, as every B(lambda) here is; a nonpositive result is
-    rejected.  Its start vector is drawn from ``seed``, so runs repeat.
+    Up to DENSE_EIGH_MAX_DIM a LAPACK subset solver runs on the matrix:
+    ``eigh`` for a dense matrix, ``eig_banded`` for a band.  Above it,
+    shift-invert Lanczos at sigma=0 finds the eigenvalue nearest 0, which is
+    the smallest only for a positive definite matrix.  A band is factored by
+    banded Cholesky, which certifies that it is positive definite (else
+    ValidationError) and is the shift-invert operator.  A dense matrix is
+    LU-factored by scipy, and only a nonpositive result is rejected, so an
+    indefinite dense matrix whose eigenvalue nearest 0 is positive passes
+    unnoticed.  The start vector is drawn from ``seed``, so runs repeat.
     """
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValidationError("matrix must be square")
-    small = n <= DENSE_EIGH_MAX_DIM
-    if small and scipy.sparse.issparse(matrix):
-        matrix = matrix.toarray()
-    if not scipy.sparse.issparse(matrix):
+    band = matrix if isinstance(matrix, SymmetricBand) else None
+    if band is None:
         matrix = np.asarray(matrix, dtype=float)
-    # Exact equality, which every matrix built here passes, costs a small
-    # fraction of the tolerance test it short-circuits (NaN fails both).
-    if (matrix != matrix.T).max() and not abs(matrix - matrix.T).max() <= 1e-12:
-        raise ValidationError("matrix is not symmetric")
-    if small:
-        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValidationError("matrix must be square")
+        # Exact equality, which every matrix built here passes, costs a small
+        # fraction of the tolerance test it short-circuits (NaN fails both).
+        if (matrix != matrix.T).max() and not abs(matrix - matrix.T).max() <= 1e-12:
+            raise ValidationError("matrix is not symmetric")
+    elif not np.isfinite(band.band).all():
+        # the LAPACK calls below skip their own finiteness checks
+        raise ValidationError("matrix entries must be finite")
+    n = matrix.shape[0]
+    if n <= DENSE_EIGH_MAX_DIM:
+        if band is None:
+            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+        else:
+            vals, vecs = scipy.linalg.eig_banded(
+                band.band, lower=True, select="i", select_range=(0, 0), check_finite=False
+            )
     else:
         v0 = np.random.default_rng(seed).standard_normal(n)
+        op, op_inv = matrix, None
+        if band is not None:
+            try:
+                factor = scipy.linalg.cholesky_banded(band.band, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                raise ValidationError("matrix is not positive definite") from None
+            op = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=lambda x: band @ x.ravel(), dtype=float
+            )
+            op_inv = scipy.sparse.linalg.LinearOperator(
+                (n, n),
+                matvec=lambda x: scipy.linalg.cho_solve_banded(
+                    (factor, True), x, check_finite=False
+                ),
+                dtype=float,
+            )
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                matrix, k=1, sigma=0.0, which="LM", v0=v0, tol=1e-12
+                op, k=1, sigma=0.0, which="LM", OPinv=op_inv, v0=v0, tol=1e-12
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceError(f"sparse eigensolver did not converge: {exc}") from exc
@@ -152,7 +218,10 @@ def min_eigenpair(matrix, seed: int = 0):
     mu, v = float(vals[0]), vecs[:, 0]
     v = v / np.linalg.norm(v)
     residual = float(np.linalg.norm(matrix @ v - mu * v))
-    norm_est = float(abs(matrix).sum(axis=1).max())
+    if band is None:
+        norm_est = float(abs(matrix).sum(axis=1).max())
+    else:
+        norm_est = float((SymmetricBand(abs(band.band)) @ np.ones(n)).max())
     if residual > RESIDUAL_TOL * norm_est:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}*||A|| = "
@@ -175,7 +244,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0):
         b = _base_matrix(kind, dim).copy()
         b[np.diag_indices(dim)] += lam * np.arange(dim)
     else:
-        b = _surrogate_sparse(dim, lam)
+        b = _surrogate_band(dim, lam)
     mu, v, residual = min_eigenpair(b, seed=seed)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:

@@ -20,6 +20,7 @@ from .fock import ProbeState
 DENSITY_FLOOR = -1e-9
 HOLEVO_SENTINEL = 1e-14
 DEFAULT_ENTROPY_GRID = 8192
+MAX_ENTROPY_GRID = 1 << 22  # the doubled grid's complex spectrum is 128 MB
 ENTROPY_REFINE_TOL = 1e-8
 
 
@@ -138,10 +139,13 @@ def differential_entropy(
     """H(Theta) = -int p ln p by the composite midpoint rule.
 
     The result at ``grid_points`` must agree with the doubled grid to
-    ENTROPY_REFINE_TOL, else ConvergenceError is raised.
+    ENTROPY_REFINE_TOL, else ConvergenceError is raised.  ``grid_points``
+    above MAX_ENTROPY_GRID is refused before anything is allocated.
     """
     if grid_points < 64 or grid_points & (grid_points - 1):
         raise ValidationError("grid_points must be a power of two >= 64")
+    if grid_points > MAX_ENTROPY_GRID:
+        raise ValidationError(f"grid_points must be at most {MAX_ENTROPY_GRID}")
     coarse = _entropy_on_grid(dist, grid_points)
     fine = _entropy_on_grid(dist, 2 * grid_points)
     if abs(fine - coarse) >= ENTROPY_REFINE_TOL:

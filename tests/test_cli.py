@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselimit import kphase_construction, make_state
 from phaselimit.cli import main
@@ -104,11 +108,15 @@ class TestBadInput:
             ("curve", "--kind", "surrogate", "--means", "1,100", "--seed", "-5"),
             ("simulate", "--state", "[[1,0]]", "--povm", "null-estimate.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "text-estimate.json"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "zero-estimate.json",
+             "--grid", str(2**50)),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
         # POM files named in argv, relative to the working directory
-        for name, estimate in (("null-estimate.json", None), ("text-estimate.json", "x")):
+        for name, estimate in (
+            ("null-estimate.json", None), ("text-estimate.json", "x"), ("zero-estimate.json", 0.0)
+        ):
             pom = {"dim": 1, "outcomes": [{"estimate": estimate, "matrix": [[[1.0, 0.0]]]}]}
             (tmp_path / name).write_text(json.dumps(pom))
         monkeypatch.chdir(tmp_path)
@@ -166,3 +174,101 @@ class TestDiscriminate:
     def test_invalid_k_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "discriminate", "--K", "0")
         assert code == 1
+
+
+# Edge values for every numeric flag: each is refused, by argparse (exit 2)
+# or by validation (exit 1).
+EDGES = ["nan", "inf", "-inf", "-1", "0", str(2**50), "x", ""]
+# "@name" is a file in the fuzz directory; "missing.json" is never written.
+BAD_FILES = ["@missing.json", "@empty.json", "@empty-object.json", "@null.json"]
+GOOD_STATES = ["@state.json", "[[1,0]]", "[[1,0],[1,0]]"]
+BAD_STATES = BAD_FILES + [
+    "[[NaN,0]]", "[[Infinity,0]]", "[[1e308,0],[1e308,0]]", "[[0,0]]",
+    "[]", "{}", "[1]", "[[1,0,0]]", "x", "",
+]
+# Per command: (flag, values whose runs are cheap, values to refuse).
+FUZZ_OPTIONS = {
+    "constants": [],
+    "bounds": [("--state", GOOD_STATES, BAD_STATES)],
+    "optimize": [
+        ("--kind", ["exact", "surrogate"], ["x"]),
+        ("--mean", ["0.5", "3"], EDGES),
+        ("--dim", ["2", "64"], EDGES),
+        ("--mean-tol", ["1e-6", "1e-8"], EDGES),
+        ("--seed", ["0", "3"], EDGES),
+    ],
+    "curve": [
+        ("--kind", ["exact", "surrogate"], ["x"]),
+        ("--means", ["0.5", "0.5,3", "1,4"], EDGES + ["3,0.5", "0.5,nan", "1,x"]),
+        ("--dim", ["2", "64"], EDGES),
+        ("--mean-tol", ["1e-6", "1e-8"], EDGES),
+        ("--seed", ["0", "3"], EDGES),
+    ],
+    "simulate": [
+        ("--povm", ["@pom.json", "@pom-k2.json"], BAD_FILES + ["@state.json"]),
+        ("--state", GOOD_STATES, BAD_STATES),
+        ("--grid", ["64", "8192"], EDGES),
+    ],
+    "discriminate": [("--K", ["1", "4"], EDGES)],
+}
+COMMON_OPTIONS = [
+    ("--format", ["csv", "json", "text"], ["x"]),
+    ("--out", ["@out.txt"], ["@missing-dir/f", "@sub"]),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    state, pom, _ = kphase_construction(2)
+    files = {
+        "empty.json": "",
+        "empty-object.json": "{}",
+        "null.json": "null",
+        "state.json": json.dumps(state.to_json()),
+        "pom.json": json.dumps(
+            {"dim": 1, "outcomes": [{"estimate": 0.0, "matrix": [[[1.0, 0.0]]]}]}
+        ),
+        "pom-k2.json": json.dumps(pom.to_json()),
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    (d / "sub").mkdir()
+    return d
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for flag, good, bad in FUZZ_OPTIONS[command] + COMMON_OPTIONS:
+        # each flag, a required one too, is left out or given a value to
+        # refuse a sixth of the time each
+        choice = draw(st.integers(0, 5))
+        if choice:
+            argv += [flag, draw(st.sampled_from(bad if choice == 1 else good))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_exits_with_one_line(fuzz_dir, argv):
+    argv = [os.path.join(fuzz_dir, a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    messages = [line for line in err.splitlines() if "error:" in line or "non-convergence:" in line]
+    if code == 0:
+        assert err == ""
+        return
+    assert len(messages) == 1
+    if messages[0].startswith(("error: ", "non-convergence: ")):
+        # the package's own refusals are exactly one line on stderr
+        assert err == messages[0] + "\n"
+        assert out.getvalue() == ""

@@ -4,7 +4,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from phaselimit import (
@@ -23,7 +22,7 @@ from phaselimit import (
     solve_at_multiplier,
     surrogate_cost,
 )
-from phaselimit.optimizer import _next_multiplier, _surrogate_sparse
+from phaselimit.optimizer import SymmetricBand, _next_multiplier, _surrogate_band
 
 # Frozen oracle: brute-force random search over real dim-3/4 states with
 # mean within 2e-3 of 0.5 achieved cost 1.00747, already below the dim-2
@@ -90,7 +89,7 @@ class TestMinEigenpair:
             assert np.linalg.norm(m @ v - mu * v) < 1e-9
 
     def test_sparse_matches_dense(self):
-        b = _surrogate_sparse(600, 0.3)
+        b = _surrogate_band(600, 0.3)
         mu_s, v_s, _ = min_eigenpair(b)
         vals, vecs = scipy.linalg.eigh(b.toarray(), subset_by_index=[0, 0])
         assert mu_s == pytest.approx(vals[0], abs=1e-10)
@@ -98,9 +97,9 @@ class TestMinEigenpair:
 
     def test_either_form_at_either_size(self):
         # the method follows the size, not the input form
-        for b in (_surrogate_sparse(100, 0.3), cost_matrix(CostKind.EXACT_SQUARE, 300)):
+        for b in (_surrogate_band(100, 0.3), cost_matrix(CostKind.EXACT_SQUARE, 300)):
             mu, v, residual = min_eigenpair(b)
-            dense = b.toarray() if scipy.sparse.issparse(b) else b
+            dense = b.toarray() if isinstance(b, SymmetricBand) else b
             assert mu == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
             assert residual < 1e-12
 
@@ -118,12 +117,42 @@ class TestMinEigenpair:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             min_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # a band is symmetric by construction; one with more rows than
+        # columns holds no matrix
         with pytest.raises(ValidationError):
-            min_eigenpair(scipy.sparse.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+            min_eigenpair(SymmetricBand(np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 0.0]])))
         nan = np.array([[1.0, math.nan], [math.nan, 1.0]])
-        for m in (nan, scipy.sparse.csc_matrix(nan)):
+        for m in (nan, SymmetricBand(np.array([[1.0, 1.0], [math.nan, 0.0]]))):
             with pytest.raises(ValidationError):
                 min_eigenpair(m)
+
+    def test_rejects_indefinite_band_with_positive_eigenvalue_nearest_zero(self):
+        # shift-invert alone would return 0.5; the banded Cholesky fails
+        diagonal = np.concatenate([[-5.0, 0.5], np.linspace(1.0, 2.0, 298)])
+        with pytest.raises(ValidationError, match="positive definite"):
+            min_eigenpair(SymmetricBand(diagonal[np.newaxis, :]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("dim", [3, 300])
+    def test_rejects_non_finite_band(self, bad, dim):
+        b = _surrogate_band(dim, 0.1)
+        b.band[1, dim // 2] = bad
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            min_eigenpair(b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_small_bands_match_cost_matrix(self, dim, rng):
+        lam = 0.7
+        b = _surrogate_band(dim, lam)
+        dense = cost_matrix(CostKind.SURROGATE, dim) + lam * np.diag(np.arange(dim, dtype=float))
+        assert b.shape == (dim, dim)
+        assert np.array_equal(b.toarray(), dense)
+        x = rng.standard_normal(dim)
+        assert np.allclose(b @ x, dense @ x, rtol=0, atol=1e-14)
+        mu, v, _ = min_eigenpair(b)
+        mu_dense, v_dense, _ = min_eigenpair(dense)
+        assert mu == pytest.approx(mu_dense, abs=1e-14)
+        assert abs(v @ v_dense) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestSolveAtMultiplier:
@@ -171,10 +200,11 @@ class TestSolveAtMultiplier:
 
 
 def _cross_check_cases():
+    # one large dim per kind, small enough for a dense reference; the
+    # surrogate's puts the banded shift-invert well above the switch
+    large = {CostKind.EXACT_SQUARE: 1200, CostKind.SURROGATE: 1600}
     for kind in CostKind:
-        for dim in (255, 256, 257, 600, 1200):
-            if dim == 1200 and kind is CostKind.SURROGATE:
-                continue
+        for dim in (255, 256, 257, 600, large[kind]):
             # lambda_0 of the multiplier search at the mean whose default dim this is
             lam0 = 2.0 * k_C() ** 2 / (dim / 8 + 1.0) ** 3
             for name, lam in (("0", 0.0), ("lam0", lam0), ("1e3", 1e3)):

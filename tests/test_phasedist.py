@@ -138,6 +138,8 @@ class TestDifferentialEntropy:
             differential_entropy(UNIFORM, 100)
         with pytest.raises(ValidationError):
             differential_entropy(UNIFORM, 32)
+        with pytest.raises(ValidationError, match="at most"):
+            differential_entropy(UNIFORM, 2**50)
 
 
 class TestEnsembleLength:
