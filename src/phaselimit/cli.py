@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -235,8 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: building it costs more than
+    parsing (about 1.3 ms against a 2 ms small op), and parse_args fills a
+    fresh namespace from the defaults on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _emit(args.func(args), args.out)
     except (ValidationError, OSError) as exc:

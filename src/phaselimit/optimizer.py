@@ -13,11 +13,14 @@ landed above it, to tell an infeasible target from a short step.  Sweeping
 the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
 B(lambda) is a dense Toeplitz matrix for the exact cost.  For the
 surrogate it is pentadiagonal and is held as its lower band (SymmetricBand,
-LAPACK storage, 3 x dim): up to DENSE_EIGH_MAX_DIM the band is solved by
-LAPACK's banded subset solver, above it a banded Cholesky factor is both the
-shift-invert operator and the certificate that B(lambda) is positive
-definite.  One eigensolver serves both kinds; its method follows the
-dimension and the storage.
+LAPACK storage, 3 x dim).  One eigensolver serves both kinds, its method
+chosen by the dimension: up to DENSE_EIGH_MAX_DIM LAPACK's subset solvers
+(dense or banded), above it inverse iteration on Cholesky factors of
+B(lambda) - sigma*I (dense or banded).  Each factorization that succeeds
+certifies sigma below the spectrum, and the one at sigma = 0 that B(lambda)
+is positive definite.  Within one dimension each multiplier's eigensolve
+starts from the previous multiplier's eigenvector, which puts the first
+shift just below the new smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError
@@ -37,10 +40,18 @@ from .fock import ProbeState
 
 DENSE_DIM_LIMIT = 4096
 SPARSE_DIM_LIMIT = 1 << 20
-DENSE_EIGH_MAX_DIM = 256  # above it shift-invert Lanczos beats the subset solvers
+DENSE_EIGH_MAX_DIM = 256  # above it Cholesky inverse iteration beats the subset solvers
 SURROGATE_BAND = (2.5, -4.0 / 3.0, 1.0 / 12.0)  # diagonal, offsets 1 and 2
 TAIL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+# Inverse iteration stops once its residual is at rounding level,
+# ROUNDING_TOL*||A||, and its vector turns by less than ANGLE_TOL per solve
+# (or has stopped converging at that residual).  The angle test is what fixes
+# the eigenvector: at dim 80000 a residual of 4*eps*||A|| still left
+# errors of 4e-4 in a mean of 1e4.
+ROUNDING_TOL = 4 * np.finfo(float).eps
+ANGLE_TOL = 1e-12
+MAX_INVERSE_STEPS = 100
 MAX_MULTIPLIER_STEPS = 100
 # d log(mean+1)/d log(lambda) on the asymptote lambda ~ 2 k_C^2/(mean+1)^3
 ASYMPTOTIC_SLOPE = -1.0 / 3.0
@@ -154,20 +165,28 @@ def _base_matrix(kind: CostKind, dim: int) -> np.ndarray:
     return a
 
 
-def min_eigenpair(matrix, seed: int = 0):
+def min_eigenpair(matrix, seed: int = 0, start=None):
     """Algebraically smallest eigenvalue and unit eigenvector of a symmetric
     matrix, dense or a SymmetricBand, with a certified residual
     ||Av - mu v|| <= 1e-9 ||A||_inf.
 
     Up to DENSE_EIGH_MAX_DIM a LAPACK subset solver runs on the matrix:
-    ``eigh`` for a dense matrix, ``eig_banded`` for a band.  Above it,
-    shift-invert Lanczos at sigma=0 finds the eigenvalue nearest 0, which is
-    the smallest only for a positive definite matrix.  A band is factored by
-    banded Cholesky, which certifies that it is positive definite (else
-    ValidationError) and is the shift-invert operator.  A dense matrix is
-    LU-factored by scipy, and only a nonpositive result is rejected, so an
-    indefinite dense matrix whose eigenvalue nearest 0 is positive passes
-    unnoticed.  The start vector is drawn from ``seed``, so runs repeat.
+    ``eigh`` for a dense matrix, ``eig_banded`` for a band; ``start`` is
+    ignored there.  Above it the matrix must be positive definite (else
+    ValidationError), and inverse iteration runs on Cholesky factors of
+    A - sigma*I (``dpotrf`` dense, ``dpbtrf`` banded).  A shift is used only
+    once its factorization succeeds, which proves sigma below every
+    eigenvalue, so the iteration converges to the smallest eigenpair; it runs
+    until the residual is at rounding level and the vector has stopped
+    turning (eigenvalues closer than 1e-9 ||A||_inf, which no certified shift
+    separates, stop at that residual).  With no ``start`` the iteration
+    begins at sigma = 0 from a vector drawn from ``seed``, so runs repeat.
+    A ``start`` vector (such as the eigenvector of a nearby matrix) sets the
+    first shift to rho - max(r, 1e-9 ||A||_inf), its Rayleigh quotient rho
+    less its residual r, backed off 4x per failed factorization.  A failed
+    factorization at s proves an eigenvalue at or below s, so a result above
+    any such s (a start close to another eigenvector) is discarded for the
+    seeded start, and ConvergenceError is raised if that also ends above it.
     """
     band = matrix if isinstance(matrix, SymmetricBand) else None
     if band is None:
@@ -178,50 +197,31 @@ def min_eigenpair(matrix, seed: int = 0):
         # fraction of the tolerance test it short-circuits (NaN fails both).
         if (matrix != matrix.T).max() and not abs(matrix - matrix.T).max() <= 1e-12:
             raise ValidationError("matrix is not symmetric")
-    elif not np.isfinite(band.band).all():
+        norm_est = float(abs(matrix).sum(axis=1).max())
+    else:
+        norm_est = float((SymmetricBand(abs(band.band)) @ np.ones(band.shape[0])).max())
+    if not math.isfinite(norm_est):
         # the LAPACK calls below skip their own finiteness checks
         raise ValidationError("matrix entries must be finite")
     n = matrix.shape[0]
     if n <= DENSE_EIGH_MAX_DIM:
         if band is None:
-            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0], check_finite=False)
         else:
             vals, vecs = scipy.linalg.eig_banded(
                 band.band, lower=True, select="i", select_range=(0, 0), check_finite=False
             )
+        mu, v = float(vals[0]), vecs[:, 0]
     else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        op, op_inv = matrix, None
-        if band is not None:
-            try:
-                factor = scipy.linalg.cholesky_banded(band.band, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                raise ValidationError("matrix is not positive definite") from None
-            op = scipy.sparse.linalg.LinearOperator(
-                (n, n), matvec=lambda x: band @ x.ravel(), dtype=float
-            )
-            op_inv = scipy.sparse.linalg.LinearOperator(
-                (n, n),
-                matvec=lambda x: scipy.linalg.cho_solve_banded(
-                    (factor, True), x, check_finite=False
-                ),
-                dtype=float,
-            )
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                op, k=1, sigma=0.0, which="LM", OPinv=op_inv, v0=v0, tol=1e-12
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"sparse eigensolver did not converge: {exc}") from exc
-        if not vals[0] > 0:
-            raise ValidationError("matrix is not positive definite")
-    mu, v = float(vals[0]), vecs[:, 0]
+        if start is not None:
+            start = np.asarray(start, dtype=float)
+            if start.shape != (n,):
+                raise ValidationError("start must be a vector of the matrix's size")
+            if not (np.isfinite(start).all() and start.any()):
+                raise ValidationError("start must be finite and nonzero")
+        mu, v = _inverse_iteration(matrix, norm_est, seed, start)
     v = v / np.linalg.norm(v)
     residual = float(np.linalg.norm(matrix @ v - mu * v))
-    if band is None:
-        norm_est = float(abs(matrix).sum(axis=1).max())
-    else:
-        norm_est = float((SymmetricBand(abs(band.band)) @ np.ones(n)).max())
     if residual > RESIDUAL_TOL * norm_est:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}*||A|| = "
@@ -230,11 +230,118 @@ def min_eigenpair(matrix, seed: int = 0):
     return mu, v, residual
 
 
-def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0):
+def _shifted_cholesky(matrix, shift: float):
+    """x -> (A - shift*I)^-1 x from a Cholesky factor of A - shift*I, or
+    None when the factorization fails: then A has an eigenvalue <= shift."""
+    if isinstance(matrix, SymmetricBand):
+        ab = matrix.band.copy()
+        ab[0] -= shift
+        c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        return None if info else lambda x: lapack.dpbtrs(c, x, lower=1)[0]
+    a = np.array(matrix.T, order="F")  # A.T is A, and a plain copy in Fortran order
+    a[np.diag_indices(len(a))] -= shift
+    c, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    return None if info else lambda x: lapack.dpotrs(c, x, lower=1)[0]
+
+
+def _factor_below(matrix, rho: float, dist: float, floor: float):
+    """Factor A - s*I at s = rho - dist*4^k for k = 0, 1, ... until one
+    succeeds, trying only s > floor.  Returns (s, solver, lowest failed s);
+    s and solver are None if every shift above floor failed."""
+    failed = math.inf
+    while (shift := rho - dist) > floor:
+        solver = _shifted_cholesky(matrix, shift)
+        if solver is not None:
+            return shift, solver, failed
+        failed = shift
+        dist *= 4.0
+    return None, None, failed
+
+
+def _refactor_pays(q: float, delta: float, r: float, dist: float, stop: float, cost: float):
+    """Whether factoring at distance ``dist`` below the Rayleigh quotient is
+    predicted to save more solves than the factorization costs (``cost``, in
+    solves).  The current shift, ``delta`` below the Rayleigh quotient,
+    contracts the residual ``r`` by ``q`` per solve, so the next eigenvalue
+    lies about delta*(1/q - 1) above the smallest; the new shift would
+    contract it by dist/(dist + that gap).  A shift at distance d iterates
+    until r <= min(stop, ANGLE_TOL*d)."""
+    if q >= 1.0:
+        return True
+    gap = delta * (1.0 / q - 1.0)
+
+    def solves(q, d):
+        return max(0.0, math.log(min(stop, ANGLE_TOL * d) / r) / math.log(q))
+
+    return cost + solves(dist / (dist + gap), dist) < solves(q, delta)
+
+
+def _inverse_iteration(matrix, norm_est: float, seed: int, start):
+    """(mu, v) of the smallest eigenpair of a positive definite matrix by
+    Cholesky-certified inverse iteration; see min_eigenpair."""
+    n = matrix.shape[0]
+    tau = RESIDUAL_TOL * norm_est
+    stop = ROUNDING_TOL * norm_est
+    # one factorization in solves (dpotrf/dpotrs with the copy: 12 at dim
+    # 300, 33 at 2400; dpbtrf/dpbtrs: 2)
+    cost = 2.0 if isinstance(matrix, SymmetricBand) else 10.0 + n / 100.0
+    ceiling = math.inf  # every failed factorization at s proves lambda_min <= s
+    for v in ([] if start is None else [start]) + [None]:
+        if v is not None:
+            v = v / np.linalg.norm(v)
+            bv = matrix @ v
+            rho = float(v @ bv)
+            r = float(np.linalg.norm(bv - rho * v))
+            shift, solve, failed = _factor_below(matrix, rho, max(r, tau), 0.0)
+            ceiling = min(ceiling, failed)
+            if solve is None:
+                continue
+        else:
+            v = np.random.default_rng(seed).standard_normal(n)
+            v /= np.linalg.norm(v)
+            shift, r, solve = 0.0, math.inf, _shifted_cholesky(matrix, 0.0)
+            if solve is None:
+                raise ValidationError("matrix is not positive definite")
+        for steps in range(1, MAX_INVERSE_STEPS + 1):
+            # With (A - shift*I) w = v and x = w/|w|: A x = (v + shift*w)/|w|,
+            # so x's Rayleigh quotient and residual need no product with A.
+            w = solve(v)
+            norm_w = float(np.linalg.norm(w))
+            x = w / norm_w
+            delta = float(x @ v) / norm_w
+            r_new = float(np.linalg.norm(v / norm_w - delta * x))
+            mu, v = shift + delta, x
+            q, r = (r_new / r if r else 0.0), r_new  # q = 0: not yet known
+            # r/delta is the angle x turned from v.  A shift within 2*tau
+            # that contracts by less than half faces eigenvalues closer than
+            # tau, which no certified shift separates: r <= tau must do.
+            slow = q > 0.5
+            if r <= stop and (r <= ANGLE_TOL * delta or slow):
+                break
+            if slow and r <= tau and delta <= 2.0 * tau:
+                break
+            if q > 0 and _refactor_pays(q, delta, r, max(r, tau), stop, cost):
+                s, solver, failed = _factor_below(matrix, mu, max(r, tau), shift)
+                ceiling = min(ceiling, failed)
+                if solver is not None:
+                    shift, solve = s, solver
+        else:
+            raise ConvergenceError(
+                f"inverse iteration residual {r:.3e} above {stop:.3e} after {steps} solves"
+            )
+        if mu <= ceiling:
+            return mu, v
+    raise ConvergenceError(
+        f"eigenvalue {mu:.12g} lies above a failed Cholesky shift {ceiling:.12g}"
+    )
+
+
+def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0, start=None):
     """Smallest eigenpair of A + lam*diag(n) and the achieved mean.
 
     Returns (mu, state_vector, mean, residual).  The achieved mean is
-    nonincreasing in lam.
+    nonincreasing in lam.  ``start`` (an eigenvector at a nearby multiplier)
+    is passed on to min_eigenpair.
     """
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
@@ -245,7 +352,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0):
         b[np.diag_indices(dim)] += lam * np.arange(dim)
     else:
         b = _surrogate_band(dim, lam)
-    mu, v, residual = min_eigenpair(b, seed=seed)
+    mu, v, residual = min_eigenpair(b, seed=seed, start=start)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
@@ -322,25 +429,28 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol, seed) -> OptimizationResu
     tol = mean_tol * (1.0 + target_mean)
     iterations = 0
 
-    def solve(lam):
+    def solve(lam, start=None):
         nonlocal iterations
         iterations += 1
-        return solve_at_multiplier(kind, dim, lam, seed=seed)
+        return solve_at_multiplier(kind, dim, lam, seed=seed, start=start)
 
     # Secant on y = log(mean+1) against x = log(lambda), started on the
     # large-mean asymptote and kept inside the bracket lo < lambda < hi of
     # the multipliers tried so far (the mean is nonincreasing in lambda).
     # The unconstrained (lambda=0) solve only tests feasibility, so it runs
     # only when a multiplier has landed below the target with no multiplier
-    # above it yet; its point never enters the secant or the bracket.
+    # above it yet; its point never enters the secant or the bracket, and
+    # each multiplier's eigensolve starts from the previous multiplier's
+    # eigenvector, never from the lambda=0 one.
     y_target = math.log1p(target_mean)
     lo, hi = 0.0, math.inf
     lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
     slope = ASYMPTOTIC_SLOPE
     last = None
     feasible = False
+    v = None
     while True:
-        mu, v, mean, residual = solve(lam)
+        mu, v, mean, residual = solve(lam, start=v)
         if abs(mean - target_mean) <= tol:
             break
         if mean > target_mean:

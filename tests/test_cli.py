@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselimit import kphase_construction, make_state
-from phaselimit.cli import main
+from phaselimit import kphase_construction, make_state, optimizer
+from phaselimit.cli import _curve_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +79,25 @@ class TestCurve:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_defaults_do_not_leak_between_calls(self, capsys, monkeypatch):
+        # the parser is built once per process: a call without --seed/--dim
+        # gets the defaults, not an earlier call's options (mean 40 runs at
+        # dim 320, where the seed draws the cold-start vector)
+        real = optimizer.figure2_curve
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["seed"], kwargs["dim"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "figure2_curve", spy)
+        argv = ("curve", "--kind", "surrogate", "--means", "40")
+        assert run_cli(capsys, *argv, "--seed", "3", "--dim", "400")[0] == 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert seen == [(3, 400), (0, None)]
+        assert out == _curve_csv(real(optimizer.CostKind.SURROGATE, [40.0], seed=0))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import phaselimit
 from phaselimit import (
     ConvergenceError,
     CostKind,
@@ -104,7 +108,7 @@ class TestMinEigenpair:
             assert residual < 1e-12
 
     def test_rejects_indefinite_above_dense_limit(self):
-        # shift-invert finds the eigenvalue nearest 0, here -0.1, not -5
+        # the Cholesky factorization at sigma = 0 fails
         m = np.diag(np.concatenate([[-5.0, -0.1], np.linspace(1.0, 2.0, 298)]))
         with pytest.raises(ValidationError, match="positive definite"):
             min_eigenpair(m)
@@ -131,6 +135,66 @@ class TestMinEigenpair:
         diagonal = np.concatenate([[-5.0, 0.5], np.linspace(1.0, 2.0, 298)])
         with pytest.raises(ValidationError, match="positive definite"):
             min_eigenpair(SymmetricBand(diagonal[np.newaxis, :]))
+
+    def test_rejects_indefinite_dense_with_positive_eigenvalue_nearest_zero(self):
+        # an LU shift-invert at 0 returned 0.5 here; the Cholesky at 0 fails
+        diagonal = np.concatenate([[-5.0, 0.5], np.linspace(1.0, 2.0, 298)])
+        for start in (None, np.eye(300)[1]):
+            with pytest.raises(ValidationError, match="positive definite"):
+                min_eigenpair(np.diag(diagonal), start=start)
+
+    @pytest.mark.parametrize("dim", [3, 300])
+    def test_rejects_infinite_dense(self, dim):
+        m = cost_matrix(CostKind.EXACT_SQUARE, dim)
+        m[0, 0] = math.inf
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            min_eigenpair(m)
+
+    @pytest.mark.parametrize(
+        "start, match",
+        [(np.ones(299), "size"), (np.zeros(300), "nonzero"), (np.full(300, math.nan), "finite")],
+    )
+    def test_rejects_bad_start(self, start, match):
+        with pytest.raises(ValidationError, match=match):
+            min_eigenpair(_surrogate_band(300, 0.1), start=start)
+
+    def test_cluster_narrower_than_tolerance(self):
+        # no certified shift separates eigenvalues 1e-10 apart; the residual
+        # tolerance still holds and the eigenvalue is within the gap
+        m = np.diag(np.concatenate([[1.0, 1.0 + 1e-10], np.linspace(2.0, 10.0, 298)]))
+        mu, _, residual = min_eigenpair(m)
+        assert 1.0 <= mu <= 1.0 + 1e-10
+        assert residual <= 1e-9 * 10.0
+
+    def test_seeds_agree_on_the_mean_at_large_dim(self):
+        # at dim 32000 the gap is 1e-7 of ||A||: a rounding-level residual
+        # alone left the means of different seeds 1e-9 apart
+        lam = 2.0 * k_C() ** 2 / 4001.0**3
+        means = [solve_at_multiplier(CostKind.SURROGATE, 32000, lam, seed=s)[2] for s in range(3)]
+        assert max(means) - min(means) <= 1e-10 * min(means)
+
+    def test_start_at_exact_eigenvector(self):
+        # a start with zero residual
+        m = np.diag(np.linspace(1.0, 2.0, 300))
+        mu, v, residual = min_eigenpair(m, start=np.eye(300)[0])
+        assert mu == pytest.approx(1.0, abs=1e-15)
+        assert abs(v[0]) == pytest.approx(1.0, abs=1e-15)
+        assert residual <= 1e-15
+
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_start_at_second_eigenvector_returns_lowest(self, kind):
+        # the first shift lies above the smallest eigenvalue, so its
+        # factorization fails; the iteration from that start would end on
+        # the second eigenpair, above the failed shift, and is redone from
+        # the seeded vector
+        dim, lam = 300, 1e-3
+        b = cost_matrix(kind, dim) + lam * np.diag(np.arange(dim, dtype=float))
+        vals, vecs = scipy.linalg.eigh(b, subset_by_index=[0, 1])
+        matrix = _surrogate_band(dim, lam) if kind is CostKind.SURROGATE else b
+        mu, v, residual = min_eigenpair(matrix, start=vecs[:, 1])
+        assert mu == pytest.approx(vals[0], abs=1e-12)
+        assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
+        assert residual < 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("dim", [3, 300])
@@ -199,15 +263,20 @@ class TestSolveAtMultiplier:
             solve_at_multiplier(CostKind.EXACT_SQUARE, 4, -1.0)
 
 
+# one large dim per kind, small enough for a dense reference; the
+# surrogate's puts the banded inverse iteration well above the switch
+LARGE_DIM = {CostKind.EXACT_SQUARE: 1200, CostKind.SURROGATE: 1600}
+
+
+def lambda0(dim):
+    """lambda_0 of the multiplier search at the mean whose default dim is dim."""
+    return 2.0 * k_C() ** 2 / (dim / 8 + 1.0) ** 3
+
+
 def _cross_check_cases():
-    # one large dim per kind, small enough for a dense reference; the
-    # surrogate's puts the banded shift-invert well above the switch
-    large = {CostKind.EXACT_SQUARE: 1200, CostKind.SURROGATE: 1600}
     for kind in CostKind:
-        for dim in (255, 256, 257, 600, large[kind]):
-            # lambda_0 of the multiplier search at the mean whose default dim this is
-            lam0 = 2.0 * k_C() ** 2 / (dim / 8 + 1.0) ** 3
-            for name, lam in (("0", 0.0), ("lam0", lam0), ("1e3", 1e3)):
+        for dim in (255, 256, 257, 600, LARGE_DIM[kind]):
+            for name, lam in (("0", 0.0), ("lam0", lambda0(dim)), ("1e3", 1e3)):
                 yield pytest.param(kind, dim, lam, id=f"{kind.value}-{dim}-{name}")
 
 
@@ -221,6 +290,56 @@ def test_solve_matches_dense_eigh(kind, dim, lam):
     assert abs(mu - vals[0]) <= 1e-10 * max(1.0, np.abs(b).sum(axis=1).max())
     assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
     assert mean == pytest.approx(np.arange(dim) @ v**2, abs=1e-12)
+
+
+def _warm_start_cases():
+    for kind in CostKind:
+        for dim in (257, 600, LARGE_DIM[kind]):
+            for factor in (4.0, 1.01):
+                yield pytest.param(kind, dim, factor, id=f"{kind.value}-{dim}-x{factor}")
+
+
+@pytest.mark.parametrize("kind,dim,factor", list(_warm_start_cases()))
+def test_warm_start_matches_dense_eigh(kind, dim, factor):
+    """Inverse iteration started from the eigenvector at lambda*factor, as
+    the multiplier search starts it, against a full dense eigh."""
+    lam = lambda0(dim)
+    start = solve_at_multiplier(kind, dim, lam * factor)[1]
+    mu, v, mean, residual = solve_at_multiplier(kind, dim, lam, start=start)
+    b = cost_matrix(kind, dim) + lam * np.diag(np.arange(dim, dtype=float))
+    vals, vecs = scipy.linalg.eigh(b, subset_by_index=[0, 0])
+    assert mu == pytest.approx(vals[0], abs=1e-12)
+    assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
+    assert mean == pytest.approx(np.arange(dim) @ vecs[:, 0] ** 2, rel=1e-10)
+    assert residual < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(list(CostKind)),
+    dim=st.integers(257, 700),
+    log_lam=st.floats(-8.0, 1.0),
+    log_factor=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 1000),
+)
+def test_warm_and_cold_starts_agree(kind, dim, log_lam, log_factor, seed):
+    lam = 10.0**log_lam
+    start = solve_at_multiplier(kind, dim, lam * 10.0**log_factor)[1]
+    mu, v, mean, _ = solve_at_multiplier(kind, dim, lam, seed=seed)
+    mu_w, v_w, mean_w, _ = solve_at_multiplier(kind, dim, lam, seed=seed, start=start)
+    assert mu_w == pytest.approx(mu, abs=1e-12 * max(1.0, lam * dim))
+    assert v_w @ v >= 1 - 1e-10
+    assert mean_w == pytest.approx(mean, rel=1e-9, abs=1e-12)
+
+
+def test_package_does_not_import_scipy_sparse_linalg():
+    code = "import sys, phaselimit.cli; print('scipy.sparse.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(phaselimit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestOptimizeAtMean:
@@ -309,9 +428,9 @@ def spy_solves():
     calls = []
     real = optimizer.solve_at_multiplier
 
-    def spy(kind, dim, lam, seed=0):
+    def spy(kind, dim, lam, seed=0, **kwargs):
         calls.append((dim, lam))
-        return real(kind, dim, lam, seed=seed)
+        return real(kind, dim, lam, seed=seed, **kwargs)
 
     return mock.patch.object(optimizer, "solve_at_multiplier", spy), calls
 
