@@ -13,12 +13,10 @@ landed above it, to tell an infeasible target from a short step.  Sweeping
 the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
 B(lambda) is a dense Toeplitz matrix for the exact cost.  For the
 surrogate it is pentadiagonal and is held as its lower band (SymmetricBand,
-LAPACK storage, 3 x dim).  One eigensolver serves both kinds, its method
-chosen by the dimension: up to DENSE_EIGH_MAX_DIM LAPACK's subset solvers
-(dense or banded), above it inverse iteration on Cholesky factors of
-B(lambda) - sigma*I (dense or banded).  Each factorization that succeeds
-certifies sigma below the spectrum, and the one at sigma = 0 that B(lambda)
-is positive definite.  Within one dimension each multiplier's eigensolve
+LAPACK storage, 3 x dim).  One eigensolver serves both kinds at every
+dimension: inverse iteration on Cholesky factors of B(lambda) - sigma*I
+(dense or banded), where each factorization that succeeds certifies sigma
+below the spectrum.  Within one dimension each multiplier's eigensolve
 starts from the previous multiplier's eigenvector, which puts the first
 shift just below the new smallest eigenvalue.
 """
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError
@@ -40,7 +38,6 @@ from .fock import ProbeState
 
 DENSE_DIM_LIMIT = 4096
 SPARSE_DIM_LIMIT = 1 << 20
-DENSE_EIGH_MAX_DIM = 256  # above it Cholesky inverse iteration beats the subset solvers
 SURROGATE_BAND = (2.5, -4.0 / 3.0, 1.0 / 12.0)  # diagonal, offsets 1 and 2
 TAIL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -170,23 +167,23 @@ def min_eigenpair(matrix, seed: int = 0, start=None):
     matrix, dense or a SymmetricBand, with a certified residual
     ||Av - mu v|| <= 1e-9 ||A||_inf.
 
-    Up to DENSE_EIGH_MAX_DIM a LAPACK subset solver runs on the matrix:
-    ``eigh`` for a dense matrix, ``eig_banded`` for a band; ``start`` is
-    ignored there.  Above it the matrix must be positive definite (else
-    ValidationError), and inverse iteration runs on Cholesky factors of
-    A - sigma*I (``dpotrf`` dense, ``dpbtrf`` banded).  A shift is used only
-    once its factorization succeeds, which proves sigma below every
-    eigenvalue, so the iteration converges to the smallest eigenpair; it runs
+    Inverse iteration runs on Cholesky factors of A - sigma*I (``dpotrf``
+    dense, ``dpbtrf`` banded; A is scaled by a power of two if ||A||_inf is
+    outside 2^-500..2^500).  A shift is used only once its factorization
+    succeeds, which proves sigma below every eigenvalue.  The iteration runs
     until the residual is at rounding level and the vector has stopped
-    turning (eigenvalues closer than 1e-9 ||A||_inf, which no certified shift
-    separates, stop at that residual).  With no ``start`` the iteration
-    begins at sigma = 0 from a vector drawn from ``seed``, so runs repeat.
-    A ``start`` vector (such as the eigenvector of a nearby matrix) sets the
-    first shift to rho - max(r, 1e-9 ||A||_inf), its Rayleigh quotient rho
-    less its residual r, backed off 4x per failed factorization.  A failed
-    factorization at s proves an eigenvalue at or below s, so a result above
-    any such s (a start close to another eigenvector) is discarded for the
-    seeded start, and ConvergenceError is raised if that also ends above it.
+    turning; eigenvalues closer than 1e-9 ||A||_inf, which no certified
+    shift separates, stop at that residual with mu within 2e-9 ||A||_inf of
+    the smallest.  With no ``start`` it begins from a vector drawn from
+    ``seed`` (so runs repeat) at sigma = 0, or at -2 ||A||_inf if that
+    factorization fails.  A ``start`` (such as the eigenvector of a nearby
+    matrix) puts the first shift at rho - max(r, 1e-9 ||A||_inf), its
+    Rayleigh quotient less its residual.  A start whose first shift fails
+    lies nearer another eigenvector, and so does one whose result lies above
+    a failed shift (a failed factorization at s proves an eigenvalue <= s):
+    either is dropped for the seeded vector.  A start with no component
+    along the lowest eigenvector can still end on another eigenpair if no
+    shift on the way fails.  mu is the Rayleigh quotient of the returned v.
     """
     band = matrix if isinstance(matrix, SymmetricBand) else None
     if band is None:
@@ -203,31 +200,29 @@ def min_eigenpair(matrix, seed: int = 0, start=None):
     if not math.isfinite(norm_est):
         # the LAPACK calls below skip their own finiteness checks
         raise ValidationError("matrix entries must be finite")
-    n = matrix.shape[0]
-    if n <= DENSE_EIGH_MAX_DIM:
-        if band is None:
-            vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0], check_finite=False)
-        else:
-            vals, vecs = scipy.linalg.eig_banded(
-                band.band, lower=True, select="i", select_range=(0, 0), check_finite=False
-            )
-        mu, v = float(vals[0]), vecs[:, 0]
-    else:
-        if start is not None:
-            start = np.asarray(start, dtype=float)
-            if start.shape != (n,):
-                raise ValidationError("start must be a vector of the matrix's size")
-            if not (np.isfinite(start).all() and start.any()):
-                raise ValidationError("start must be finite and nonzero")
-        mu, v = _inverse_iteration(matrix, norm_est, seed, start)
-    v = v / np.linalg.norm(v)
-    residual = float(np.linalg.norm(matrix @ v - mu * v))
-    if residual > RESIDUAL_TOL * norm_est:
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (matrix.shape[0],):
+            raise ValidationError("start must be a vector of the matrix's size")
+        if not (np.isfinite(start).all() and start.any()):
+            raise ValidationError("start must be finite and nonzero")
+    exp = 0
+    if not 2.0**-500 < norm_est < 2.0**500:
+        # a norm in 2^-500..2^500 keeps the solves, norms and tolerances
+        # below clear of overflow and underflow; a power of two scales exactly
+        exp = -math.frexp(norm_est)[1]
+        matrix = np.ldexp(matrix, exp) if band is None else SymmetricBand(np.ldexp(band.band, exp))
+    v = _inverse_iteration(matrix, math.ldexp(norm_est, exp), seed, start)
+    v = v / blas.dnrm2(v)
+    av = matrix @ v
+    mu = float(v @ av)
+    residual = math.ldexp(float(blas.dnrm2(av - mu * v)), -exp)
+    if not residual <= RESIDUAL_TOL * norm_est:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}*||A|| = "
             f"{RESIDUAL_TOL * norm_est:.3e}"
         )
-    return mu, v, residual
+    return math.ldexp(mu, -exp), v, residual
 
 
 def _shifted_cholesky(matrix, shift: float):
@@ -277,39 +272,43 @@ def _refactor_pays(q: float, delta: float, r: float, dist: float, stop: float, c
 
 
 def _inverse_iteration(matrix, norm_est: float, seed: int, start):
-    """(mu, v) of the smallest eigenpair of a positive definite matrix by
+    """Eigenvector of the smallest eigenvalue of a symmetric matrix by
     Cholesky-certified inverse iteration; see min_eigenpair."""
     n = matrix.shape[0]
-    tau = RESIDUAL_TOL * norm_est
-    stop = ROUNDING_TOL * norm_est
+    norm = norm_est or 1.0  # the zero matrix needs tolerances and a shift too
+    tau = RESIDUAL_TOL * norm
+    stop = ROUNDING_TOL * norm
     # one factorization in solves (dpotrf/dpotrs with the copy: 12 at dim
     # 300, 33 at 2400; dpbtrf/dpbtrs: 2)
     cost = 2.0 if isinstance(matrix, SymmetricBand) else 10.0 + n / 100.0
     ceiling = math.inf  # every failed factorization at s proves lambda_min <= s
     for v in ([] if start is None else [start]) + [None]:
-        if v is not None:
-            v = v / np.linalg.norm(v)
-            bv = matrix @ v
-            rho = float(v @ bv)
-            r = float(np.linalg.norm(bv - rho * v))
-            shift, solve, failed = _factor_below(matrix, rho, max(r, tau), 0.0)
-            ceiling = min(ceiling, failed)
-            if solve is None:
-                continue
-        else:
+        seeded = v is None
+        if seeded:
             v = np.random.default_rng(seed).standard_normal(n)
-            v /= np.linalg.norm(v)
+            v /= blas.dnrm2(v)
             shift, r, solve = 0.0, math.inf, _shifted_cholesky(matrix, 0.0)
             if solve is None:
-                raise ValidationError("matrix is not positive definite")
+                # lambda_min <= 0; every eigenvalue is >= -||A||_inf (Gershgorin)
+                shift = -2.0 * norm
+                solve = _shifted_cholesky(matrix, shift)
+        else:
+            v = v / blas.dnrm2(v)
+            bv = matrix @ v
+            rho = float(v @ bv)
+            r = float(blas.dnrm2(bv - rho * v))
+            shift = rho - max(r, tau)
+            solve = _shifted_cholesky(matrix, shift)
+            if solve is None:
+                continue  # the start lies nearer another eigenvector
         for steps in range(1, MAX_INVERSE_STEPS + 1):
             # With (A - shift*I) w = v and x = w/|w|: A x = (v + shift*w)/|w|,
             # so x's Rayleigh quotient and residual need no product with A.
             w = solve(v)
-            norm_w = float(np.linalg.norm(w))
+            norm_w = float(blas.dnrm2(w))
             x = w / norm_w
             delta = float(x @ v) / norm_w
-            r_new = float(np.linalg.norm(v / norm_w - delta * x))
+            r_new = float(blas.dnrm2(v / norm_w - delta * x))
             mu, v = shift + delta, x
             q, r = (r_new / r if r else 0.0), r_new  # q = 0: not yet known
             # r/delta is the angle x turned from v.  A shift within 2*tau
@@ -329,11 +328,10 @@ def _inverse_iteration(matrix, norm_est: float, seed: int, start):
             raise ConvergenceError(
                 f"inverse iteration residual {r:.3e} above {stop:.3e} after {steps} solves"
             )
-        if mu <= ceiling:
-            return mu, v
-    raise ConvergenceError(
-        f"eigenvalue {mu:.12g} lies above a failed Cholesky shift {ceiling:.12g}"
-    )
+        # A failed shift below mu proves a lower eigenvalue, which a start
+        # near another eigenvector can miss and the seeded vector cannot.
+        if seeded or mu <= ceiling:
+            return v
 
 
 def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0, start=None):

@@ -107,11 +107,14 @@ class TestMinEigenpair:
             assert mu == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
             assert residual < 1e-12
 
-    def test_rejects_indefinite_above_dense_limit(self):
-        # the Cholesky factorization at sigma = 0 fails
+    def test_indefinite_dense_returns_lowest(self):
+        # the Cholesky factorization at sigma = 0 fails, the one below
+        # -||A||_inf succeeds
         m = np.diag(np.concatenate([[-5.0, -0.1], np.linspace(1.0, 2.0, 298)]))
-        with pytest.raises(ValidationError, match="positive definite"):
-            min_eigenpair(m)
+        mu, v, residual = min_eigenpair(m)
+        assert mu == pytest.approx(-5.0, abs=1e-12)
+        assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+        assert residual < 1e-12
 
     def test_tolerates_rounding_asymmetry(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
@@ -130,18 +133,45 @@ class TestMinEigenpair:
             with pytest.raises(ValidationError):
                 min_eigenpair(m)
 
-    def test_rejects_indefinite_band_with_positive_eigenvalue_nearest_zero(self):
-        # shift-invert alone would return 0.5; the banded Cholesky fails
+    def test_indefinite_band_skips_eigenvalue_nearest_zero(self):
+        # shift-invert alone would return 0.5, the eigenvalue nearest zero
         diagonal = np.concatenate([[-5.0, 0.5], np.linspace(1.0, 2.0, 298)])
-        with pytest.raises(ValidationError, match="positive definite"):
-            min_eigenpair(SymmetricBand(diagonal[np.newaxis, :]))
+        mu, v, residual = min_eigenpair(SymmetricBand(diagonal[np.newaxis, :]))
+        assert mu == pytest.approx(-5.0, abs=1e-12)
+        assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+        assert residual < 1e-12
 
-    def test_rejects_indefinite_dense_with_positive_eigenvalue_nearest_zero(self):
-        # an LU shift-invert at 0 returned 0.5 here; the Cholesky at 0 fails
+    def test_indefinite_dense_skips_eigenvalue_nearest_zero(self):
+        # an LU shift-invert at 0 returned 0.5 here; a start at the
+        # eigenvector of 0.5 must not end there either
         diagonal = np.concatenate([[-5.0, 0.5], np.linspace(1.0, 2.0, 298)])
         for start in (None, np.eye(300)[1]):
-            with pytest.raises(ValidationError, match="positive definite"):
-                min_eigenpair(np.diag(diagonal), start=start)
+            mu, v, residual = min_eigenpair(np.diag(diagonal), start=start)
+            assert mu == pytest.approx(-5.0, abs=1e-12)
+            assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+            assert residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((1, 1)),
+            np.zeros((3, 3)),
+            np.zeros((300, 300)),
+            np.array([[-2.0]]),
+            SymmetricBand(np.array([[1.0, -3.0, 2.0], [4.0, -1.0, 0.0], [0.5, 0.0, 0.0]])),
+            SymmetricBand(
+                np.vstack([np.linspace(-3.0, 3.0, 300), np.ones(300), np.full(300, -0.5)])
+            ),
+        ],
+        ids=["zeros-1", "zeros-3", "zeros-300", "minus-2", "band-3", "band-300"],
+    )
+    def test_any_symmetric_matrix_matches_eigvalsh(self, matrix):
+        dense = matrix.toarray() if isinstance(matrix, SymmetricBand) else matrix
+        norm = np.abs(dense).sum(axis=1).max()
+        mu, v, residual = min_eigenpair(matrix)
+        assert mu == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12 * max(1.0, norm))
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert residual <= 1e-9 * norm
 
     @pytest.mark.parametrize("dim", [3, 300])
     def test_rejects_infinite_dense(self, dim):
@@ -165,6 +195,23 @@ class TestMinEigenpair:
         mu, _, residual = min_eigenpair(m)
         assert 1.0 <= mu <= 1.0 + 1e-10
         assert residual <= 1e-9 * 10.0
+
+    @pytest.mark.parametrize("seed", [17, 23, 25, 27])
+    def test_clustered_low_spectrum_is_not_rejected(self, seed):
+        # 99 eigenvalues within 1e-6 above the smallest: a failed shift can
+        # sit just above it while the Rayleigh quotient sits its residual
+        # higher still, which the guard against a non-lowest eigenpair must
+        # allow
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((300, 300)))[0]
+        vals = np.concatenate(
+            [[1.0], 1.0 + 1e-6 * rng.uniform(size=99), rng.uniform(2.0, 12.0, 200)]
+        )
+        m = (q * vals) @ q.T
+        norm = np.abs(m).sum(axis=1).max()
+        mu, _, residual = min_eigenpair(m)
+        assert mu == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-9 * norm)
+        assert residual <= 1e-9 * norm
 
     def test_seeds_agree_on_the_mean_at_large_dim(self):
         # at dim 32000 the gap is 1e-7 of ||A||: a rounding-level residual
@@ -195,6 +242,62 @@ class TestMinEigenpair:
         assert mu == pytest.approx(vals[0], abs=1e-12)
         assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
         assert residual < 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 300])
+    def test_start_at_second_eigenvector_close_above_returns_lowest(self, dim):
+        # tau = 1e-9*||A|| = 1e-8 and the second eigenvalue lies 3*tau above
+        # the first: the first shift, tau below the start's, fails, and the
+        # start (an exact eigenvector) would end on its own eigenvalue
+        diagonal = np.concatenate([[1.0, 1.0 + 3e-8], np.linspace(2.0, 10.0, dim - 2)])
+        mu, v, residual = min_eigenpair(np.diag(diagonal), start=np.eye(dim)[1])
+        assert mu == pytest.approx(1.0, abs=1e-14)
+        assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+        assert residual < 1e-12
+
+    @pytest.mark.parametrize("banded", [False, True])
+    @pytest.mark.parametrize("dim", [5, 261])
+    def test_start_without_lowest_component_returns_lowest(self, dim, banded):
+        # the start mixes the eigenvectors of 741 and 1000 only; its first
+        # shift (938.8) fails, and the next in a 4x back-off (176.6) lies
+        # below both 740 and 741, so iteration from that start would end on
+        # 741, below every failed shift
+        diagonal = np.concatenate([[740.0, 741.0], np.full(dim - 2, 1000.0)])
+        start = np.concatenate([[0.0, 0.2], np.full(dim - 2, 0.98 / math.sqrt(dim - 2))])
+        matrix = SymmetricBand(diagonal[np.newaxis, :]) if banded else np.diag(diagonal)
+        mu, v, residual = min_eigenpair(matrix, start=start)
+        assert mu == pytest.approx(740.0, abs=1e-12 * 1000.0)
+        assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+        assert residual < 1e-9
+
+    @pytest.mark.parametrize("banded", [False, True])
+    def test_start_ending_above_a_failed_shift_returns_lowest(self, banded):
+        # the start mixes the eigenvectors of 1 and 10 only, with its first
+        # shift below 0; the iteration heads for 1, and a later shift between
+        # 0 and 1 fails, which proves the lower eigenvalue 0
+        diagonal = np.array([0.0, 1.0, 10.0, 10.0, 10.0])
+        start = np.array([0.0, math.cos(math.pi / 8)] + [math.sin(math.pi / 8) / math.sqrt(3)] * 3)
+        matrix = SymmetricBand(diagonal[np.newaxis, :]) if banded else np.diag(diagonal)
+        mu, v, residual = min_eigenpair(matrix, start=start)
+        assert abs(mu) <= 1e-12
+        assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+        assert residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[1e-215], [5e-324], [-1e308], [1e300, -1e300], [1e-300, 2e-300], [1e-200, 1.0, 2.0]],
+    )
+    def test_extreme_scales(self, diagonal):
+        # tiny, subnormal and huge norms, and a pivot of 1e-200 at sigma = 0
+        mu, v, residual = min_eigenpair(np.diag(diagonal))
+        assert mu == pytest.approx(min(diagonal), rel=1e-14)
+        assert abs(v[np.argmin(diagonal)]) == pytest.approx(1.0, abs=1e-14)
+        assert residual <= 1e-9 * max(abs(d) for d in diagonal)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_start_of_any_scale(self, scale):
+        m = cost_matrix(CostKind.EXACT_SQUARE, 8)
+        mu, _, _ = min_eigenpair(m, start=np.full(8, scale))
+        assert mu == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("dim", [3, 300])
@@ -264,7 +367,7 @@ class TestSolveAtMultiplier:
 
 
 # one large dim per kind, small enough for a dense reference; the
-# surrogate's puts the banded inverse iteration well above the switch
+# surrogate's is the larger because its banded solves are cheap
 LARGE_DIM = {CostKind.EXACT_SQUARE: 1200, CostKind.SURROGATE: 1600}
 
 
@@ -282,8 +385,8 @@ def _cross_check_cases():
 
 @pytest.mark.parametrize("kind,dim,lam", list(_cross_check_cases()))
 def test_solve_matches_dense_eigh(kind, dim, lam):
-    """Both methods of min_eigenpair, on both sides of DENSE_EIGH_MAX_DIM,
-    against a full dense eigh of the same B(lambda)."""
+    """min_eigenpair on both storages, from small to large dims, against a
+    full dense eigh of the same B(lambda)."""
     mu, v, mean, _ = solve_at_multiplier(kind, dim, lam)
     b = cost_matrix(kind, dim) + lam * np.diag(np.arange(dim, dtype=float))
     vals, vecs = scipy.linalg.eigh(b, subset_by_index=[0, 0])
@@ -294,7 +397,7 @@ def test_solve_matches_dense_eigh(kind, dim, lam):
 
 def _warm_start_cases():
     for kind in CostKind:
-        for dim in (257, 600, LARGE_DIM[kind]):
+        for dim in (1, 2, 8, 64, 255, 257, 600, LARGE_DIM[kind]):
             for factor in (4.0, 1.01):
                 yield pytest.param(kind, dim, factor, id=f"{kind.value}-{dim}-x{factor}")
 
@@ -317,7 +420,7 @@ def test_warm_start_matches_dense_eigh(kind, dim, factor):
 @settings(max_examples=15, deadline=None)
 @given(
     kind=st.sampled_from(list(CostKind)),
-    dim=st.integers(257, 700),
+    dim=st.integers(1, 700),
     log_lam=st.floats(-8.0, 1.0),
     log_factor=st.floats(-1.0, 1.0),
     seed=st.integers(0, 1000),
@@ -330,6 +433,76 @@ def test_warm_and_cold_starts_agree(kind, dim, log_lam, log_factor, seed):
     assert mu_w == pytest.approx(mu, abs=1e-12 * max(1.0, lam * dim))
     assert v_w @ v >= 1 - 1e-10
     assert mean_w == pytest.approx(mean, rel=1e-9, abs=1e-12)
+
+
+# The lowest eigenvalue `low` comes with cluster-1 more eigenvalues within
+# `width` above it (width 0: repeated).  A dense matrix rotates such a
+# spectrum by a random orthogonal matrix.  A band repeats one random block
+# along its diagonal, so the block's lowest eigenvalue is repeated, and joins
+# the blocks by entries of size `width`, which splits it into a cluster.  The
+# solve starts from nothing, a random vector, or the eigenvector of the
+# second or the largest eigenvalue.  A subnormal `low` is left out: the
+# tolerance, a multiple of ||A||, underflows to zero for it.
+LOW_CLUSTERED = st.fixed_dictionaries(
+    {
+        "dim": st.integers(1, 300),
+        "banded": st.booleans(),
+        "low": st.floats(-10.0, 10.0, allow_subnormal=False),
+        "width": st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-2]),
+        "cluster": st.integers(1, 6),
+        "rows": st.integers(1, 3),
+        "block": st.integers(1, 12),
+        "start": st.sampled_from(["none", "random", "second", "top"]),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+def _low_clustered(case):
+    rng = np.random.default_rng(case["seed"])
+    dim, low, width = case["dim"], case["low"], case["width"]
+    if not case["banded"]:
+        cluster = min(case["cluster"], dim)
+        vals = np.concatenate(
+            [
+                [low],
+                low + width * rng.uniform(size=cluster - 1),
+                low + rng.uniform(0.5, 20.0, dim - cluster),
+            ]
+        )
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        m = (q * vals) @ q.T
+        return (m + m.T) / 2
+    rows, block = min(case["rows"], dim), case["block"]
+    pattern = rng.standard_normal((rows, block))
+    band = np.tile(pattern, -(-dim // block))[:, :dim]
+    for k in range(1, rows):
+        joins = np.arange(dim - k)[np.arange(dim - k) % block + k >= block]
+        band[k, joins] = width * rng.standard_normal(len(joins))
+        band[k, dim - k:] = 0.0
+    band[0] += low
+    return SymmetricBand(band)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LOW_CLUSTERED)
+def test_min_eigenpair_matches_eigvalsh(case):
+    matrix = _low_clustered(case)
+    dense = matrix.toarray() if isinstance(matrix, SymmetricBand) else matrix
+    norm = np.abs(dense).sum(axis=1).max()
+    vals, vecs = scipy.linalg.eigh(dense)
+    start = {
+        "none": None,
+        "random": np.random.default_rng(case["seed"] + 1).standard_normal(case["dim"]),
+        "second": vecs[:, min(1, case["dim"] - 1)],
+        "top": vecs[:, -1],
+    }[case["start"]]
+    mu, v, residual = min_eigenpair(matrix, start=start)
+    # eigenvalues closer than tau = 1e-9*||A|| stop at residual tau, with the
+    # last certified shift below lambda_min and at most 2*tau below mu
+    assert abs(mu - vals[0]) <= 2e-9 * norm
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert residual <= 1e-9 * norm
 
 
 def test_package_does_not_import_scipy_sparse_linalg():
@@ -530,10 +703,12 @@ class TestMultiplierSearch:
         with pytest.raises(ValidationError, match="seed"):
             figure2_curve(kind, [1.0, 100.0], seed=-5)
 
-    def test_step_cap_raises(self):
-        # a tolerance below double precision can never be met
-        with pytest.raises(ConvergenceError):
-            optimize_at_mean(CostKind.EXACT_SQUARE, 1.0, mean_tol=1e-30)
+    def test_step_cap_raises(self, monkeypatch):
+        # the first multiplier lands above the target, outside the default
+        # tolerance, and uses up a cap of one eigensolve
+        monkeypatch.setattr(optimizer, "MAX_MULTIPLIER_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="after 1 eigensolves"):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_rejected(self, bad):
