@@ -31,15 +31,8 @@ class PhaseDistribution:
     moments: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.moments, dtype=complex)
-        m.setflags(write=False)
+        m = _checked_moments(self.moments)
         object.__setattr__(self, "moments", m)
-        if m.ndim != 1 or m.size < 1:
-            raise ValidationError("moments must be a nonempty 1-d vector")
-        if m[0] != 1.0:
-            raise ValidationError(f"m_0 must be exactly 1, got {m[0]!r}")
-        if not np.all(np.abs(m) <= 1 + 1e-12):  # NaN fails too
-            raise ValidationError("moments must be finite with magnitudes at most 1")
         points = 4096
         while points <= 2 * (m.size - 1):
             points *= 2
@@ -49,6 +42,14 @@ class PhaseDistribution:
             raise ValidationError(
                 f"reconstructed density dips to {worst:.3e} (< {DENSITY_FLOOR})"
             )
+
+    @classmethod
+    def _nonnegative(cls, moments) -> "PhaseDistribution":
+        """A distribution whose density cannot be negative by construction:
+        the moment checks run, the density-grid check is skipped."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "moments", _checked_moments(moments))
+        return dist
 
     @property
     def kmax(self) -> int:
@@ -69,18 +70,32 @@ class PhaseDistribution:
         return cls(m)
 
 
+def _checked_moments(moments) -> np.ndarray:
+    m = np.asarray(moments, dtype=complex)
+    m.setflags(write=False)
+    if m.ndim != 1 or m.size < 1:
+        raise ValidationError("moments must be a nonempty 1-d vector")
+    if m[0] != 1.0:
+        raise ValidationError(f"m_0 must be exactly 1, got {m[0]!r}")
+    if not np.all(np.abs(m) <= 1 + 1e-12):  # NaN fails too
+        raise ValidationError("moments must be finite with magnitudes at most 1")
+    return m
+
+
 def canonical_distribution(state: ProbeState) -> PhaseDistribution:
     """Moments of the canonical phase density (1/2pi)|sum_n c_n e^{in theta}|^2.
 
     m_k = sum_n c_n conj(c_{n+k}); all moments beyond dim-1 vanish.  They
     are the autocorrelation of c, read from one FFT zero-padded to the
     power of two at or above 2*dim points so that no lag wraps around.
+    The density is a squared modulus, so the density-grid check of
+    PhaseDistribution is skipped.
     """
     d = state.dim
     spectrum = np.fft.fft(state.amplitudes, 1 << (2 * d - 1).bit_length())
     m = np.conj(np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[:d])
     m[0] = 1.0
-    return PhaseDistribution(m)
+    return PhaseDistribution._nonnegative(m)
 
 
 def density_grid(dist: PhaseDistribution, points: int, midpoint: bool = False) -> np.ndarray:

@@ -14,12 +14,20 @@ O(n_outcomes * dim^2), and everything phase-dependent is read from them:
 the moments of the error distribution averaged uniformly over the phase
 (closed form, never numerical integration), the probabilities at any set of
 phases, and the K-phase success probabilities.
+
+A POM whose outcomes are all rank 1, M_j = u_j u_j^H, can be held by the
+vectors u_j alone ("vector" outcomes in the JSON form).  Then a_{j,k} is the
+autocorrelation sum_m x_{m+k} conj(x_m) of x = u_j * conj(c), read from one
+zero-padded FFT per outcome in O(n_outcomes * dim log dim), and storage is
+O(n_outcomes * dim).  Such outcomes are PSD by construction, so only
+finiteness and completeness are checked.  The K-phase construction is held
+this way; the dense (n_outcomes, dim, dim) elements are formed only when a
+caller reads `EstimatePOM.elements`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +43,16 @@ TWO_PI = 2 * math.pi
 # Elements are validated this many at a time, which bounds the batched
 # temporaries (16 outcomes at dim 128 is 4 MB).
 VALIDATION_CHUNK = 16
-# kphase_construction stores K^3 complex entries; 2^30 bytes allows K <= 406.
+# Dense elements formed from the vectors of a rank-1 POM are refused above
+# this many bytes (J * dim^2 complex entries).
 MAX_ELEMENT_BYTES = 1 << 30
+# kphase_construction's work is O(K^2): the K x K Gram and probability
+# matrices, the K x (2K-1) coefficients and phase factors, and, largest, the
+# report's Gram list and the indented JSON text the CLI makes of it.  This
+# many bytes per K^2 bounds the peak memory of `discriminate` (measured:
+# see CHANGES.md), and K is refused above MAX_KPHASE_BYTES of it.
+KPHASE_BYTES_PER_ENTRY = 640
+MAX_KPHASE_BYTES = 1 << 30
 
 
 def wrap_angle(x):
@@ -44,64 +60,139 @@ def wrap_angle(x):
     return np.mod(np.asarray(x) + math.pi, TWO_PI) - math.pi
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 class EstimatePOM:
     """Discrete POM; outcome j has estimate ``estimates[j]`` and PSD element
-    ``elements[j]``, with the elements summing to the identity."""
+    ``elements[j]``, with the elements summing to the identity.
 
-    estimates: np.ndarray
-    elements: np.ndarray  # shape (n_outcomes, dim, dim)
+    ``EstimatePOM(estimates, vectors=u)`` holds rank-1 outcomes
+    M_j = u_j u_j^H by the rows of the (n_outcomes, dim) array u; its
+    ``elements`` are formed on first access.  ``vectors`` is None for a POM
+    given by its elements.
+    """
 
-    def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=float)
-        els = np.asarray(self.elements, dtype=complex)
-        est.setflags(write=False)
-        els.setflags(write=False)
-        object.__setattr__(self, "estimates", est)
-        object.__setattr__(self, "elements", els)
+    def __init__(self, estimates, elements=None, *, vectors=None):
+        if (elements is None) == (vectors is None):
+            raise ValidationError("give exactly one of elements and vectors")
+        est = _read_only(estimates, float)
         if est.ndim != 1 or est.size == 0:
             raise ValidationError("need at least one outcome")
         if not np.all((est >= 0) & (est < TWO_PI)):  # NaN fails too
             raise ValidationError("estimates must be finite and lie in [0, 2*pi)")
-        if els.ndim != 3 or els.shape[0] != est.size or els.shape[1] != els.shape[2]:
-            raise ValidationError("elements must be (n_outcomes, dim, dim)")
-        for start in range(0, est.size, VALIDATION_CHUNK):
-            _validate_elements(els[start : start + VALIDATION_CHUNK], start)
-        total = els.sum(axis=0)
-        if np.max(np.abs(total - np.eye(els.shape[1]))) > COMPLETENESS_TOL:
-            raise ValidationError("elements do not sum to the identity")
+        self._estimates = est
+        self._elements = None
+        self._vectors = None
+        if vectors is None:
+            els = _read_only(elements, complex)
+            if els.ndim != 3 or els.shape[0] != est.size or els.shape[1] != els.shape[2]:
+                raise ValidationError("elements must be (n_outcomes, dim, dim)")
+            for start in range(0, est.size, VALIDATION_CHUNK):
+                _validate_elements(els[start : start + VALIDATION_CHUNK], start)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail below
+                total = els.sum(axis=0)
+            _check_complete(total)
+            self._elements = els
+        else:
+            vecs = _read_only(vectors, complex)
+            if vecs.ndim != 2 or vecs.shape[0] != est.size or vecs.shape[1] == 0:
+                raise ValidationError("vectors must be (n_outcomes, dim)")
+            bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"vector {bad[0]} is not finite")
+            # sum_j u_j u_j^H, with u_j the rows of vecs
+            with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail below
+                total = vecs.T @ vecs.conj()
+            _check_complete(total)
+            self._vectors = vecs
+
+    @property
+    def estimates(self) -> np.ndarray:
+        return self._estimates
+
+    @property
+    def vectors(self) -> np.ndarray | None:
+        return self._vectors
+
+    @property
+    def elements(self) -> np.ndarray:
+        """(n_outcomes, dim, dim) elements; for a vector POM they are formed
+        from the vectors on first access."""
+        if self._elements is None:
+            u = self._vectors
+            need = 16 * u.shape[0] * u.shape[1] ** 2
+            if need > MAX_ELEMENT_BYTES:
+                raise ValidationError(
+                    f"dense elements need {need / 2**30:.1f} GiB "
+                    f"(limit {MAX_ELEMENT_BYTES / 2**30:.0f} GiB)"
+                )
+            self._elements = _read_only(u[:, :, None] * u.conj()[:, None, :], complex)
+        return self._elements
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        source = self._elements if self._vectors is None else self._vectors
+        return source.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return self.estimates.size
+        return self._estimates.size
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "outcomes": [
-                {
-                    "estimate": float(e),
-                    "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in m],
-                }
-                for e, m in zip(self.estimates, self.elements)
-            ],
-        }
+        if self._vectors is None:
+            outcomes = [
+                {"estimate": float(e), "matrix": [_pairs(row) for row in m]}
+                for e, m in zip(self._estimates, self._elements)
+            ]
+        else:
+            outcomes = [
+                {"estimate": float(e), "vector": _pairs(u)}
+                for e, u in zip(self._estimates, self._vectors)
+            ]
+        return {"dim": self.dim, "outcomes": outcomes}
 
     @classmethod
     def from_json(cls, data) -> "EstimatePOM":
+        """Read ``{"outcomes": [{"estimate": e, "matrix" or "vector": ...}]}``.
+
+        A file whose outcomes all carry "vector" gives a vector POM; one that
+        mixes the two forms is read as dense, each vector u as u u^H.
+        """
         try:
-            est = [float(o["estimate"]) for o in data["outcomes"]]
-            els = [
-                [[complex(re, im) for re, im in row] for row in o["matrix"]]
-                for o in data["outcomes"]
-            ]
+            outcomes = data["outcomes"]
+            est = np.array([float(o["estimate"]) for o in outcomes])
+            if all("matrix" not in o for o in outcomes):
+                form = {"vectors": np.array([_complexes(o["vector"]) for o in outcomes])}
+            else:
+                els = []
+                for o in outcomes:
+                    if "matrix" in o:
+                        els.append([_complexes(row) for row in o["matrix"]])
+                    else:
+                        u = np.array(_complexes(o["vector"]))
+                        els.append(np.outer(u, u.conj()))
+                form = {"elements": np.array(els)}
         except (TypeError, ValueError, KeyError) as exc:
             raise ValidationError(f"malformed POM data: {exc}") from exc
-        return cls(np.array(est), np.array(els))
+        return cls(est, **form)
+
+
+def _pairs(values) -> list:
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def _complexes(pairs) -> list:
+    return [complex(re, im) for re, im in pairs]
+
+
+def _check_complete(total: np.ndarray):
+    err = np.max(np.abs(total - np.eye(total.shape[0])))
+    if not err <= COMPLETENESS_TOL:  # NaN fails too
+        raise ValidationError("elements do not sum to the identity")
 
 
 def _validate_elements(block: np.ndarray, start: int):
@@ -134,6 +225,8 @@ def conditional_probability(
     if povm.dim != state.dim:
         raise ValidationError("POM and state dimensions differ")
     c_phi = state.amplitudes * np.exp(-1j * np.arange(state.dim) * phi)
+    if povm.vectors is not None:
+        return float(abs(np.vdot(povm.vectors[outcome_index], c_phi)) ** 2)
     val = complex(np.conj(c_phi) @ povm.elements[outcome_index] @ c_phi)
     if abs(val.imag) > IMAG_TOL:
         raise ValidationError(f"probability has imaginary part {val.imag:.3e}")
@@ -146,12 +239,20 @@ def _coefficients(povm: EstimatePOM, state: ProbeState) -> np.ndarray:
     Column dim-1+k holds a_{j,k} = sum_{n-m=k} conj(c_n) (M_j)_{nm} c_m for
     k = -(dim-1)..dim-1, so that p(j|phi) = sum_k a_{j,k} e^{ik phi}.  One
     diagonal of all elements is read per k; no (n_outcomes, dim, dim)
-    temporary is formed.
+    temporary is formed.  For a vector POM, a_{j,k} = sum_m x_{m+k} conj(x_m)
+    with x = u_j * conj(c), one circular autocorrelation per outcome on a
+    grid of more than 2*dim-1 points, so that no lag wraps around.
     """
     if povm.dim != state.dim:
         raise ValidationError("POM and state dimensions differ")
     c = state.amplitudes
     d = state.dim
+    if povm.vectors is not None:
+        points = 1 << (2 * d - 1).bit_length()
+        spectrum = np.fft.fft(povm.vectors * np.conj(c), points, axis=1)
+        corr = np.fft.ifft(spectrum.real**2 + spectrum.imag**2, axis=1)
+        # lag k >= 0 sits at column k, lag k < 0 at column points + k
+        return np.concatenate([corr[:, points - d + 1 :], corr[:, :d]], axis=1)
     a = np.empty((povm.n_outcomes, 2 * d - 1), dtype=complex)
     for k in range(-(d - 1), d):
         # numpy's offset is m - n; entry i of the diagonal is (n, m) =
@@ -203,10 +304,15 @@ def covariant_seed(povm: EstimatePOM) -> np.ndarray:
     exactly when diag(2*pi*seed) is the all-ones vector; that is verified.
     """
     n = np.arange(povm.dim)
-    seed = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for est, m in zip(povm.estimates, povm.elements):
-        d = np.exp(1j * n * est)
-        seed += d[:, None] * m * np.conj(d)[None, :]
+    if povm.vectors is not None:
+        # e^{iN est_j} u_j as rows w_j; the seed is sum_j w_j w_j^H
+        w = povm.vectors * np.exp(1j * np.outer(povm.estimates, n))
+        seed = w.T @ w.conj()
+    else:
+        seed = np.zeros((povm.dim, povm.dim), dtype=complex)
+        for est, m in zip(povm.estimates, povm.elements):
+            d = np.exp(1j * n * est)
+            seed += d[:, None] * m * np.conj(d)[None, :]
     seed /= TWO_PI
     if np.max(np.abs(TWO_PI * np.diagonal(seed) - 1.0)) > COMPLETENESS_TOL:
         raise ValidationError("covariant seed fails the completeness identity")
@@ -252,33 +358,35 @@ def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi):
 
 def kphase_construction(K: int):
     """Probe and measurement that perfectly discriminate the K phases
-    2*pi*k/K: the uniform K-level state and the spectral projectors of its
-    shifted copies.
+    2*pi*k/K: the uniform K-level state and the rank-1 projectors onto its
+    shifted copies, held as a vector POM.
 
     Returns (state, povm, report); the report carries the Gram matrix of the
     shifted states, the success probabilities at each special phase, the
     mean number (K-1)/2 and the estimate's variance at each special phase,
-    all read from one phase-by-outcome probability matrix.
+    all read from one phase-by-outcome probability matrix.  K is refused,
+    before anything is allocated, when the O(K^2) work would need more than
+    MAX_KPHASE_BYTES.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
-    if 16 * K**3 > MAX_ELEMENT_BYTES:
+    need = KPHASE_BYTES_PER_ENTRY * K**2
+    if need > MAX_KPHASE_BYTES:
         raise ValidationError(
-            f"K = {K} needs {16 * K**3 / 2**30:.1f} GiB of POM elements "
-            f"(limit {MAX_ELEMENT_BYTES / 2**30:.0f} GiB)"
+            f"K = {K} needs {need / 2**30:.3f} GiB for the K x K report "
+            f"(limit {MAX_KPHASE_BYTES / 2**30:.0f} GiB)"
         )
     psi = make_state(np.ones(K))
     phis = TWO_PI * np.arange(K) / K
     n = np.arange(K)
     shifted = np.exp(-1j * np.outer(phis, n)) * psi.amplitudes  # (k, n)
-    elements = np.einsum("km,kn->kmn", shifted, np.conj(shifted))
-    povm = EstimatePOM(phis, elements)
+    povm = EstimatePOM(phis, vectors=shifted)
     gram = shifted @ shifted.conj().T
     probs = _phase_probabilities(povm, psi, phis)
     report = {
         "K": K,
         "mean_number": (K - 1) / 2,
-        "gram": [[[float(g.real), float(g.imag)] for g in row] for row in gram],
+        "gram": gram.view(float).reshape(K, K, 2).tolist(),  # [re, im] pairs
         "gram_identity_error": float(np.max(np.abs(gram - np.eye(K)))),
         "success_probabilities": [float(p) for p in np.diagonal(probs)],
         "per_phase_variance": _variances(povm.estimates, phis, probs).tolist(),

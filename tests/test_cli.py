@@ -129,6 +129,7 @@ class TestBadInput:
             ("simulate", "--state", "[[1,0]]", "--povm", "text-estimate.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "zero-estimate.json",
              "--grid", str(2**50)),
+            ("simulate", "--state", "[[1,0],[1,0]]", "--povm", "ragged.json"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -138,6 +139,11 @@ class TestBadInput:
         ):
             pom = {"dim": 1, "outcomes": [{"estimate": estimate, "matrix": [[[1.0, 0.0]]]}]}
             (tmp_path / name).write_text(json.dumps(pom))
+        ragged = {"outcomes": [
+            {"estimate": 0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"estimate": 1, "matrix": [[[0.5, 0]]]},
+        ]}
+        (tmp_path / "ragged.json").write_text(json.dumps(ragged))
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -167,6 +173,35 @@ class TestSimulate:
         sim = data["simulation"]
         assert sim["mean_number"] == pytest.approx(1.5)
         assert sim["heisenberg_margin"] > 0
+
+    def test_vector_file_matches_dense_file(self, capsys, tmp_path):
+        # the same K-phase POM written with "vector" outcomes and expanded
+        # to "matrix" outcomes gives the same statistics
+        state, pom, _ = kphase_construction(4)
+        spath = tmp_path / "state.json"
+        spath.write_text(json.dumps(state.to_json()))
+        dense = {
+            "outcomes": [
+                {"estimate": float(e), "matrix": [[[v.real, v.imag] for v in row] for row in m]}
+                for e, m in zip(pom.estimates, pom.elements)
+            ]
+        }
+        sims = []
+        for name, data in (("vector.json", pom.to_json()), ("dense.json", dense)):
+            (tmp_path / name).write_text(json.dumps(data))
+            code, out, _ = run_cli(
+                capsys, "simulate", "--state", str(spath), "--povm", str(tmp_path / name)
+            )
+            assert code == 0
+            sims.append(json.loads(out)["simulation"])
+        assert "vector" in pom.to_json()["outcomes"][0]
+        assert list(sims[0]) == list(sims[1])
+        for key, value in sims[0].items():
+            if key != "moments":
+                assert value == pytest.approx(sims[1][key], rel=0, abs=1e-12), key
+        np.testing.assert_allclose(
+            sims[0]["moments"]["moments"], sims[1]["moments"]["moments"], rtol=0, atol=1e-12
+        )
 
     def test_missing_povm_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--state", "[[1,0]]", "--povm", "/nope.json")
@@ -224,7 +259,11 @@ FUZZ_OPTIONS = {
         ("--seed", ["0", "3"], EDGES),
     ],
     "simulate": [
-        ("--povm", ["@pom.json", "@pom-k2.json"], BAD_FILES + ["@state.json"]),
+        (
+            "--povm",
+            ["@pom.json", "@pom-k2.json"],
+            BAD_FILES + ["@state.json", "@pom-ragged.json"],
+        ),
         ("--state", GOOD_STATES, BAD_STATES),
         ("--grid", ["64", "8192"], EDGES),
     ],
@@ -249,6 +288,11 @@ def fuzz_dir(tmp_path_factory):
             {"dim": 1, "outcomes": [{"estimate": 0.0, "matrix": [[[1.0, 0.0]]]}]}
         ),
         "pom-k2.json": json.dumps(pom.to_json()),
+        # outcomes of different dims
+        "pom-ragged.json": json.dumps({"outcomes": [
+            {"estimate": 0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"estimate": 1, "matrix": [[[0.5, 0]]]},
+        ]}),
     }
     for name, text in files.items():
         (d / name).write_text(text)

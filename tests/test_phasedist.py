@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phaselimit import phasedist
 from phaselimit import (
     PhaseDistribution,
     ValidationError,
@@ -62,6 +63,24 @@ class TestCanonicalDistribution:
     def test_product_of_amplitudes(self):
         dist = canonical_distribution(make_state([0.6, 0.8]))
         assert dist.moments[1] == pytest.approx(0.48, abs=1e-15)
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 300])
+    def test_moments_bitwise_without_density_check(self, rng, monkeypatch, dim):
+        # a canonical density is a squared modulus, so no density grid is
+        # built to check it; the moments are the one-FFT autocorrelation
+        state = random_state(rng, dim)
+        spectrum = np.fft.fft(state.amplitudes, 1 << (2 * dim - 1).bit_length())
+        expected = np.conj(np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[:dim])
+        expected[0] = 1.0
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("density grid built")
+
+        monkeypatch.setattr(phasedist, "density_grid", no_grid)
+        dist = canonical_distribution(state)
+        assert dist.moments.tobytes() == expected.tobytes()
+        assert not dist.moments.flags.writeable
 
 
 class TestDensityAt:
@@ -230,3 +249,10 @@ class TestSerialization:
             PhaseDistribution(np.array([1.0, 0.2, bad]))
         with pytest.raises(ValidationError, match="finite"):
             PhaseDistribution.from_json({"moments": [[1, 0], [bad.real, bad.imag]]})
+
+    def test_negative_density_rejected(self):
+        # (1 + 1.8 cos t)/2pi dips to -0.8/2pi
+        with pytest.raises(ValidationError, match="dips to"):
+            PhaseDistribution(np.array([1.0, 0.9]))
+        with pytest.raises(ValidationError, match="dips to"):
+            PhaseDistribution.from_json({"moments": [[1, 0], [0.9, 0]]})

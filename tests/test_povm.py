@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from phaselimit import povm as povm_module
 from phaselimit import (
     EstimatePOM,
     ValidationError,
@@ -102,6 +104,107 @@ class TestEstimatePOM:
         back = EstimatePOM.from_json(povm.to_json())
         assert np.allclose(back.elements, povm.elements)
         assert np.allclose(back.estimates, povm.estimates)
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            # ragged rows within one matrix
+            [{"estimate": 0.0, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}],
+            # outcomes of different dims
+            [
+                {"estimate": 0.0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+                {"estimate": 1.0, "matrix": [[[0.5, 0]]]},
+            ],
+            # vectors of different dims
+            [{"estimate": 0.0, "vector": [[1, 0]]}, {"estimate": 1.0, "vector": [[0, 0], [1, 0]]}],
+        ],
+        ids=["ragged-matrix", "mixed-dims", "ragged-vector"],
+    )
+    def test_from_json_rejects_ragged(self, outcomes):
+        with pytest.raises(ValidationError, match=r"^malformed POM data: "):
+            EstimatePOM.from_json({"outcomes": outcomes})
+
+
+def _unitary_rows(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+class TestVectorPOM:
+    def test_elements_formed_from_vectors(self, rng):
+        u = _unitary_rows(rng, 3)
+        povm = EstimatePOM(np.array([0.0, 1.0, 2.0]), vectors=u)
+        np.testing.assert_array_equal(povm.vectors, u)
+        np.testing.assert_array_equal(
+            povm.elements, np.array([np.outer(row, row.conj()) for row in u])
+        )
+        assert povm.dim == 3 and povm.n_outcomes == 3
+        assert not povm.elements.flags.writeable and not povm.vectors.flags.writeable
+        assert number_povm(3).vectors is None
+
+    def test_needs_exactly_one_form(self):
+        with pytest.raises(ValidationError, match="exactly one"):
+            EstimatePOM(np.array([0.0]))
+        with pytest.raises(ValidationError, match="exactly one"):
+            EstimatePOM(np.array([0.0]), np.eye(1)[None], vectors=np.ones((1, 1)))
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 1), (1, 0), (1, 1, 1)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValidationError, match="vectors must be"):
+            EstimatePOM(np.array([0.0]), vectors=np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = bad
+        with pytest.raises(ValidationError, match=r"^vector 1 is not finite$"):
+            EstimatePOM(np.array([0.0, 1.0]), vectors=u)
+
+    @pytest.mark.parametrize(
+        "u",
+        [np.ones((1, 2)) / math.sqrt(2), np.eye(2) * 1.001, np.full((2, 2), 1e200)],
+        ids=["too-few-outcomes", "scaled", "overflow"],
+    )
+    def test_rejects_incomplete(self, u):
+        with pytest.raises(ValidationError, match="identity"):
+            EstimatePOM(np.zeros(u.shape[0]), vectors=u)
+
+    def test_json_roundtrip_keeps_vectors(self, rng):
+        povm = EstimatePOM(np.array([0.5, 1.5, 2.5]), vectors=_unitary_rows(rng, 3))
+        data = povm.to_json()
+        assert all(list(o) == ["estimate", "vector"] for o in data["outcomes"])
+        back = EstimatePOM.from_json(data)
+        np.testing.assert_array_equal(back.vectors, povm.vectors)
+        np.testing.assert_array_equal(back.estimates, povm.estimates)
+
+    def test_mixed_json_read_as_dense(self):
+        data = {
+            "outcomes": [
+                {"estimate": 0.0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                {"estimate": 1.0, "vector": [[0, 0], [0, 1]]},
+            ]
+        }
+        povm = EstimatePOM.from_json(data)
+        assert povm.vectors is None
+        np.testing.assert_array_equal(povm.elements, [np.diag([1, 0]), np.diag([0, 1])])
+
+    def test_dense_elements_capped(self):
+        # 407 outcomes of dim 407 would expand to just over 2^30 bytes
+        _, povm, _ = kphase_construction(407)
+        with pytest.raises(ValidationError, match="GiB"):
+            povm.elements
+
+    def test_kphase_skips_element_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("element batch checked")
+
+        monkeypatch.setattr(povm_module, "_validate_elements", refuse)
+        psi, povm, report = kphase_construction(16)
+        assert povm.vectors.shape == (16, 16)
+        assert np.allclose(report["success_probabilities"], 1.0, rtol=0, atol=1e-12)
+        assert covariant_seed(povm) == pytest.approx(
+            np.outer(psi.amplitudes, psi.amplitudes.conj()) * 16 / (2 * math.pi), abs=1e-12
+        )
 
 
 class TestConditionalProbability:
@@ -306,10 +409,32 @@ class TestKPhaseConstruction:
             "success_probabilities", "per_phase_variance",
         ]
 
-    def test_element_storage_capped(self):
-        # K = 407 would store 407^3 complex entries, just over 2^30 bytes
-        with pytest.raises(ValidationError, match="GiB"):
-            kphase_construction(407)
+    def test_k407_builds(self):
+        # 407^3 complex elements would take just over 2^30 bytes; the vector
+        # POM holds 407^2 entries
+        _, povm, report = kphase_construction(407)
+        assert povm.vectors.shape == (407, 407)
+        np.testing.assert_allclose(report["success_probabilities"], 1.0, rtol=0, atol=1e-12)
+
+    def test_report_cap_refused_before_allocation(self, monkeypatch):
+        first = math.isqrt(povm_module.MAX_KPHASE_BYTES // povm_module.KPHASE_BYTES_PER_ENTRY) + 1
+        assert first == 1296
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^K = 1296 needs 1\.001 GiB .*GiB\)$"):
+                kphase_construction(first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+        # K = 1295 passes the cap and goes on to build the state
+        def built(*args):
+            raise RuntimeError("past the cap")
+
+        monkeypatch.setattr(povm_module, "make_state", built)
+        with pytest.raises(RuntimeError, match="past the cap"):
+            kphase_construction(first - 1)
 
     def test_average_error_still_respects_bound(self):
         # zero error holds only at the K special phases; averaged over all

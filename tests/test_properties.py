@@ -8,11 +8,13 @@ example replays."""
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phaselimit import (
+    EstimatePOM,
     average_distribution,
     canonical_distribution,
+    conditional_probability,
     covariant_average_distribution,
     covariant_seed,
     entropy_chain_report,
@@ -20,11 +22,14 @@ from phaselimit import (
     per_phase_variance,
     wrap_angle,
 )
+from phaselimit.povm import _coefficients
 from conftest import random_povm, random_state
 
 CASES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 STATES = st.tuples(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
 MASKED_STATES = st.tuples(st.integers(1, 63), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+# (dim, extra outcomes beyond dim, seed) of a rank-1 POM
+RANK1_CASES = st.tuples(st.integers(1, 40), st.integers(0, 8), st.integers(0, 2**32 - 1))
 PHASES = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=6)
 
 
@@ -67,6 +72,42 @@ def test_batched_sweep_matches_definition(case, phases):
     errors = wrap_angle(povm.estimates[None, :] - phis[:, None])
     expected = np.sum(errors**2 * probs, axis=1)
     np.testing.assert_allclose(per_phase_variance(povm, state, phis), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(RANK1_CASES, PHASES)
+@example((1, 0, 0), [0.0])
+@example((1, 3, 1), [1.0, -2.0])
+@example((40, 0, 2), [0.5])
+def test_vector_pom_matches_dense(case, phases):
+    # the rows of a random J x dim isometry are the vectors of a complete
+    # rank-1 POM; the same POM expanded to matrices takes the dense paths
+    dim, extra, seed = case
+    rng = np.random.default_rng(seed)
+    n_outcomes = dim + extra
+    z = rng.standard_normal((n_outcomes, dim)) + 1j * rng.standard_normal((n_outcomes, dim))
+    u = np.linalg.qr(z)[0]
+    estimates = rng.uniform(0, 2 * math.pi, n_outcomes)
+    vector = EstimatePOM(estimates, vectors=u)
+    dense = EstimatePOM(estimates, u[:, :, None] * u.conj()[:, None, :])
+    assert dense.vectors is None
+    state = random_state(rng, dim)
+    phis = np.array(phases)
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+    close(_coefficients(vector, state), _coefficients(dense, state))
+    close(average_distribution(vector, state).moments, average_distribution(dense, state).moments)
+    close(per_phase_variance(vector, state, phis), per_phase_variance(dense, state, phis))
+    close(
+        [conditional_probability(vector, state, phis[0], j) for j in range(n_outcomes)],
+        [conditional_probability(dense, state, phis[0], j) for j in range(n_outcomes)],
+    )
+    close(covariant_seed(vector), covariant_seed(dense))
+    back = EstimatePOM.from_json(vector.to_json())
+    np.testing.assert_array_equal(back.vectors, vector.vectors)
+    np.testing.assert_array_equal(back.estimates, vector.estimates)
 
 
 @settings(max_examples=60, deadline=None)
