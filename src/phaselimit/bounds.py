@@ -2,83 +2,29 @@
 
 The variance bound constant is k_A = sqrt(2*pi/e^3) and the conjectured
 asymptotically optimal constant is k_C = 2(-z_A/3)^{3/2}, with z_A the first
-negative zero of the Airy function Ai.  Ai is evaluated from its Maclaurin
-series (adequate for |z| < 2.4), so no special-function library is needed.
+negative zero of the Airy function Ai.  z_A is the tabulated value
+(Abramowitz & Stegun 10.4.94; DLMF Table 9.9.1) rounded to the nearest
+double, so no special-function evaluation is needed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .fock import ProbeState, mean_number, number_entropy, thermal_entropy
 from .phasedist import canonical_distribution, differential_entropy, mean_square_deviation
 
-_SERIES_TOL = 1e-18
-# Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+# First zero of Ai, -2.33810 74104 59767 03849..., correctly rounded.
+Z_A = -2.338107410459767
 
 TWO_PI = 2 * math.pi
 
 
-def airy_ai(z: float) -> float:
-    """Ai(z) = Ai(0) f(z) + Ai'(0) g(z) by the Maclaurin series."""
-    f_term, g_term = 1.0, z
-    f_sum, g_sum = f_term, g_term
-    z3 = z**3
-    k = 0
-    while abs(f_term) > _SERIES_TOL or abs(g_term) > _SERIES_TOL:
-        f_term *= z3 / ((3 * k + 2) * (3 * k + 3))
-        g_term *= z3 / ((3 * k + 3) * (3 * k + 4))
-        f_sum += f_term
-        g_sum += g_term
-        k += 1
-    return _AI0 * f_sum + _AIP0 * g_sum
-
-
-def airy_ai_prime(z: float) -> float:
-    """Ai'(z), termwise derivative of the Maclaurin series."""
-    z3 = z**3
-    # f'(z): terms 3k z^{3k-1} a_k, k >= 1; g'(z): terms (3k+1) z^{3k} b_k.
-    f_term = z**2 / 2.0  # k = 1 term of f': 3 z^2 / 6
-    f_sum = f_term
-    g_term = 1.0
-    g_sum = g_term
-    k = 1
-    while abs(f_term) > _SERIES_TOL or abs(g_term) > _SERIES_TOL:
-        f_term *= z3 * (3 * k + 3) / ((3 * k) * (3 * k + 2) * (3 * k + 3))
-        g_term *= z3 * (3 * k + 1) / ((3 * k - 2) * (3 * k) * (3 * k + 1))
-        f_sum += f_term
-        g_sum += g_term
-        k += 1
-    return _AI0 * f_sum + _AIP0 * g_sum
-
-
-@functools.cache
 def airy_first_zero() -> float:
-    """First negative zero z_A of Ai, bracketed in (-2.4, -2.3),
-    located by bisection and polished by Newton steps.  Computed once per
-    process."""
-    lo, hi = -2.4, -2.3
-    f_lo = airy_ai(lo)
-    if f_lo * airy_ai(hi) >= 0:
-        raise ConvergenceError("Airy zero not bracketed in (-2.4, -2.3)")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f_mid = airy_ai(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    z = 0.5 * (lo + hi)
-    for _ in range(8):
-        z -= airy_ai(z) / airy_ai_prime(z)
-    if abs(airy_ai(z)) >= 1e-13:
-        raise ConvergenceError(f"Airy zero refinement stalled at Ai(z) = {airy_ai(z):.3e}")
-    return z
+    """First negative zero z_A of Ai, the tabulated constant Z_A."""
+    return Z_A
 
 
 def k_A() -> float:

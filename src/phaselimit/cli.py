@@ -106,7 +106,7 @@ def _cmd_bounds(args):
 
 def _cmd_optimize(args):
     result = optimizer.optimize_at_mean(
-        _kind(args.kind), args.mean, dim=args.dim, mean_tol=args.mean_tol, seed=args.seed
+        _kind(args.kind), args.mean, dim=args.dim, mean_tol=args.mean_tol
     )
     return _json_text({"optimization": result.to_json()})
 
@@ -125,9 +125,7 @@ def _cmd_curve(args):
         means = [float(x) for x in args.means.split(",")]
     except ValueError as exc:
         raise ValidationError(f"--means must be comma-separated numbers: {exc}") from exc
-    rows = optimizer.figure2_curve(
-        _kind(args.kind), means, dim=args.dim, mean_tol=args.mean_tol, seed=args.seed
-    )
+    rows = optimizer.figure2_curve(_kind(args.kind), means, dim=args.dim, mean_tol=args.mean_tol)
     if args.format == "json":
         return _json_text({"kind": args.kind, "columns": CURVE_COLUMNS, "rows": rows})
     return _curve_csv(rows)
@@ -205,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", type=float, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--mean-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_optimize)
 
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--means", required=True, help="comma-separated ascending means")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--mean-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     common(p, "csv")
     p.set_defaults(func=_cmd_curve)
 

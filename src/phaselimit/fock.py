@@ -43,15 +43,30 @@ class ProbeState:
         return self.amplitudes.size
 
     def to_json(self) -> list:
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
+        return _to_pairs(self.amplitudes)
 
     @classmethod
     def from_json(cls, data) -> "ProbeState":
         try:
-            amps = np.array([complex(re, im) for re, im in data])
+            amps = np.array(_from_pairs(data))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed state data: {exc}") from exc
         return make_state(amps)
+
+
+def _to_pairs(values) -> list:
+    """A complex array as nested lists with [re, im] pairs for its entries."""
+    arr = np.ascontiguousarray(values, dtype=complex)
+    return arr.view(float).reshape(arr.shape + (2,)).tolist()
+
+
+def _from_pairs(pairs) -> list:
+    """Complex numbers from [re, im] pairs; a malformed pair raises
+    TypeError or ValueError, as does an integer too large for a float."""
+    try:
+        return [complex(re, im) for re, im in pairs]
+    except OverflowError as exc:
+        raise ValueError(exc) from exc
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def _base_matrix(kind: CostKind, dim: int) -> np.ndarray:
     return a
 
 
-def min_eigenpair(matrix, seed: int = 0, start=None):
+def min_eigenpair(matrix, start=None):
     """Algebraically smallest eigenvalue and unit eigenvector of a symmetric
     matrix, dense or a SymmetricBand, with a certified residual
     ||Av - mu v|| <= 1e-9 ||A||_inf.
@@ -174,14 +174,14 @@ def min_eigenpair(matrix, seed: int = 0, start=None):
     until the residual is at rounding level and the vector has stopped
     turning; eigenvalues closer than 1e-9 ||A||_inf, which no certified
     shift separates, stop at that residual with mu within 2e-9 ||A||_inf of
-    the smallest.  With no ``start`` it begins from a vector drawn from
-    ``seed`` (so runs repeat) at sigma = 0, or at -2 ||A||_inf if that
-    factorization fails.  A ``start`` (such as the eigenvector of a nearby
-    matrix) puts the first shift at rho - max(r, 1e-9 ||A||_inf), its
-    Rayleigh quotient less its residual.  A start whose first shift fails
+    the smallest.  With no ``start`` it begins from a fixed pseudo-random
+    vector (from ``np.random.default_rng(0)``, so runs repeat) at sigma = 0,
+    or at -2 ||A||_inf if that factorization fails.  A ``start`` (such as
+    the eigenvector of a nearby matrix) puts the first shift at
+    rho - max(r, 1e-9 ||A||_inf), its Rayleigh quotient less its residual.  A start whose first shift fails
     lies nearer another eigenvector, and so does one whose result lies above
     a failed shift (a failed factorization at s proves an eigenvalue <= s):
-    either is dropped for the seeded vector.  A start with no component
+    either is dropped for the fixed vector.  A start with no component
     along the lowest eigenvector can still end on another eigenpair if no
     shift on the way fails.  mu is the Rayleigh quotient of the returned v.
     """
@@ -212,7 +212,7 @@ def min_eigenpair(matrix, seed: int = 0, start=None):
         # below clear of overflow and underflow; a power of two scales exactly
         exp = -math.frexp(norm_est)[1]
         matrix = np.ldexp(matrix, exp) if band is None else SymmetricBand(np.ldexp(band.band, exp))
-    v = _inverse_iteration(matrix, math.ldexp(norm_est, exp), seed, start)
+    v = _inverse_iteration(matrix, math.ldexp(norm_est, exp), start)
     v = v / blas.dnrm2(v)
     av = matrix @ v
     mu = float(v @ av)
@@ -271,7 +271,7 @@ def _refactor_pays(q: float, delta: float, r: float, dist: float, stop: float, c
     return cost + solves(dist / (dist + gap), dist) < solves(q, delta)
 
 
-def _inverse_iteration(matrix, norm_est: float, seed: int, start):
+def _inverse_iteration(matrix, norm_est: float, start):
     """Eigenvector of the smallest eigenvalue of a symmetric matrix by
     Cholesky-certified inverse iteration; see min_eigenpair."""
     n = matrix.shape[0]
@@ -283,9 +283,9 @@ def _inverse_iteration(matrix, norm_est: float, seed: int, start):
     cost = 2.0 if isinstance(matrix, SymmetricBand) else 10.0 + n / 100.0
     ceiling = math.inf  # every failed factorization at s proves lambda_min <= s
     for v in ([] if start is None else [start]) + [None]:
-        seeded = v is None
-        if seeded:
-            v = np.random.default_rng(seed).standard_normal(n)
+        cold = v is None
+        if cold:
+            v = np.random.default_rng(0).standard_normal(n)
             v /= blas.dnrm2(v)
             shift, r, solve = 0.0, math.inf, _shifted_cholesky(matrix, 0.0)
             if solve is None:
@@ -329,12 +329,12 @@ def _inverse_iteration(matrix, norm_est: float, seed: int, start):
                 f"inverse iteration residual {r:.3e} above {stop:.3e} after {steps} solves"
             )
         # A failed shift below mu proves a lower eigenvalue, which a start
-        # near another eigenvector can miss and the seeded vector cannot.
-        if seeded or mu <= ceiling:
+        # near another eigenvector can miss and the fixed vector cannot.
+        if cold or mu <= ceiling:
             return v
 
 
-def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0, start=None):
+def solve_at_multiplier(kind: CostKind, dim: int, lam: float, start=None):
     """Smallest eigenpair of A + lam*diag(n) and the achieved mean.
 
     Returns (mu, state_vector, mean, residual).  The achieved mean is
@@ -350,7 +350,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0, sta
         b[np.diag_indices(dim)] += lam * np.arange(dim)
     else:
         b = _surrogate_band(dim, lam)
-    mu, v, residual = min_eigenpair(b, seed=seed, start=start)
+    mu, v, residual = min_eigenpair(b, start=start)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
@@ -361,7 +361,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, seed: int = 0, sta
 def _vacuum_result(kind: CostKind, dim: int) -> OptimizationResult:
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
-    cost = math.pi**2 / 3 if kind is CostKind.EXACT_SQUARE else 2.5
+    cost = float(cost_matrix(kind, 1)[0, 0])
     return OptimizationResult(
         state=ProbeState(amps), cost=cost, achieved_mean=0.0, lam=0.0,
         eigenvalue=cost, dim=dim, tail_mass=0.0, residual=0.0, iterations=0,
@@ -377,7 +377,6 @@ def optimize_at_mean(
     target_mean: float,
     dim: int | None = None,
     mean_tol: float = 1e-8,
-    seed: int = 0,
 ) -> OptimizationResult:
     """Global minimum of the cost over probe states with the given mean.
 
@@ -390,15 +389,14 @@ def optimize_at_mean(
     falls short of the target, and its solution is the result if it meets
     the target.  ``iterations`` counts every eigensolve.  If the optimal
     state's tail mass shows the truncation is inadequate, the dimension is
-    doubled and the solve repeated, up to the per-path dimension cap.  A
-    negative ``seed`` is rejected.
+    doubled and the solve repeated, up to the per-path dimension cap.
+    Each dimension's first eigensolve starts from the fixed pseudo-random
+    vector of min_eigenpair, so the result is the same on every run.
     """
     if not math.isfinite(target_mean) or target_mean < 0:
         raise ValidationError("target mean must be finite and nonnegative")
     if not math.isfinite(mean_tol) or mean_tol <= 0:
         raise ValidationError("mean_tol must be finite and positive")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
     cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
     auto_dim = dim is None
     if auto_dim:
@@ -413,7 +411,7 @@ def optimize_at_mean(
     # The tail certificate drives dimension doubling only when the dimension
     # came from the policy; an explicit dim is honored as a hard truncation.
     while True:
-        result = _solve_fixed_dim(kind, target_mean, dim, mean_tol, seed)
+        result = _solve_fixed_dim(kind, target_mean, dim, mean_tol)
         if not auto_dim or result.tail_mass < TAIL_TOL:
             return result
         if dim >= cap:
@@ -423,14 +421,14 @@ def optimize_at_mean(
         dim = min(2 * dim, cap)
 
 
-def _solve_fixed_dim(kind, target_mean, dim, mean_tol, seed) -> OptimizationResult:
+def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
     tol = mean_tol * (1.0 + target_mean)
     iterations = 0
 
     def solve(lam, start=None):
         nonlocal iterations
         iterations += 1
-        return solve_at_multiplier(kind, dim, lam, seed=seed, start=start)
+        return solve_at_multiplier(kind, dim, lam, start=start)
 
     # Secant on y = log(mean+1) against x = log(lambda), started on the
     # large-mean asymptote and kept inside the bracket lo < lambda < hi of
@@ -517,7 +515,6 @@ def figure2_curve(
     means,
     dim: int | None = None,
     mean_tol: float = 1e-8,
-    seed: int = 0,
 ) -> list[dict]:
     """Minimum-product curve rows, one per requested mean, in input order.
 
@@ -530,7 +527,7 @@ def figure2_curve(
         raise ValidationError("means must be finite, positive and strictly ascending")
 
     def run(mean):
-        res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol, seed=seed)
+        res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol)
         delta = math.sqrt(res.cost)
         return {
             "mean": res.achieved_mean,

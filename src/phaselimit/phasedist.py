@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .fock import ProbeState
+from .fock import ProbeState, _from_pairs, _to_pairs
 
 DENSITY_FLOOR = -1e-9
 HOLEVO_SENTINEL = 1e-14
@@ -58,13 +58,13 @@ class PhaseDistribution:
     def to_json(self) -> dict:
         return {
             "kmax": self.kmax,
-            "moments": [[float(m.real), float(m.imag)] for m in self.moments],
+            "moments": _to_pairs(self.moments),
         }
 
     @classmethod
     def from_json(cls, data) -> "PhaseDistribution":
         try:
-            m = np.array([complex(re, im) for re, im in data["moments"]])
+            m = np.array(_from_pairs(data["moments"]))
         except (TypeError, ValueError, KeyError) as exc:
             raise ValidationError(f"malformed distribution data: {exc}") from exc
         return cls(m)

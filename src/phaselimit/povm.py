@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .fock import ProbeState, make_state
+from .fock import ProbeState, _from_pairs, _to_pairs, make_state
 from .phasedist import PhaseDistribution
 
 PSD_EIG_FLOOR = -1e-10
@@ -145,12 +145,12 @@ class EstimatePOM:
     def to_json(self) -> dict:
         if self._vectors is None:
             outcomes = [
-                {"estimate": float(e), "matrix": [_pairs(row) for row in m]}
+                {"estimate": float(e), "matrix": _to_pairs(m)}
                 for e, m in zip(self._estimates, self._elements)
             ]
         else:
             outcomes = [
-                {"estimate": float(e), "vector": _pairs(u)}
+                {"estimate": float(e), "vector": _to_pairs(u)}
                 for e, u in zip(self._estimates, self._vectors)
             ]
         return {"dim": self.dim, "outcomes": outcomes}
@@ -166,27 +166,19 @@ class EstimatePOM:
             outcomes = data["outcomes"]
             est = np.array([float(o["estimate"]) for o in outcomes])
             if all("matrix" not in o for o in outcomes):
-                form = {"vectors": np.array([_complexes(o["vector"]) for o in outcomes])}
+                form = {"vectors": np.array([_from_pairs(o["vector"]) for o in outcomes])}
             else:
                 els = []
                 for o in outcomes:
                     if "matrix" in o:
-                        els.append([_complexes(row) for row in o["matrix"]])
+                        els.append([_from_pairs(row) for row in o["matrix"]])
                     else:
-                        u = np.array(_complexes(o["vector"]))
+                        u = np.array(_from_pairs(o["vector"]))
                         els.append(np.outer(u, u.conj()))
                 form = {"elements": np.array(els)}
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ValidationError(f"malformed POM data: {exc}") from exc
         return cls(est, **form)
-
-
-def _pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
-def _complexes(pairs) -> list:
-    return [complex(re, im) for re, im in pairs]
 
 
 def _check_complete(total: np.ndarray):
@@ -386,7 +378,7 @@ def kphase_construction(K: int):
     report = {
         "K": K,
         "mean_number": (K - 1) / 2,
-        "gram": gram.view(float).reshape(K, K, 2).tolist(),  # [re, im] pairs
+        "gram": _to_pairs(gram),
         "gram_identity_error": float(np.max(np.abs(gram - np.eye(K)))),
         "success_probabilities": [float(p) for p in np.diagonal(probs)],
         "per_phase_variance": _variances(povm.estimates, phis, probs).tolist(),

@@ -75,29 +75,28 @@ class TestCurve:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
             code, _, _ = run_cli(
-                capsys, "curve", "--means", "0.5,1", "--seed", "7", "--out", str(p)
+                capsys, "curve", "--means", "0.5,1", "--out", str(p)
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_defaults_do_not_leak_between_calls(self, capsys, monkeypatch):
-        # the parser is built once per process: a call without --seed/--dim
-        # gets the defaults, not an earlier call's options (mean 40 runs at
-        # dim 320, where the seed draws the cold-start vector)
+        # the parser is built once per process: a call without --mean-tol/--dim
+        # gets the defaults, not an earlier call's options
         real = optimizer.figure2_curve
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append((kwargs["seed"], kwargs["dim"]))
+            seen.append((kwargs["mean_tol"], kwargs["dim"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "figure2_curve", spy)
         argv = ("curve", "--kind", "surrogate", "--means", "40")
-        assert run_cli(capsys, *argv, "--seed", "3", "--dim", "400")[0] == 0
+        assert run_cli(capsys, *argv, "--mean-tol", "1e-6", "--dim", "400")[0] == 0
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert seen == [(3, 400), (0, None)]
-        assert out == _curve_csv(real(optimizer.CostKind.SURROGATE, [40.0], seed=0))
+        assert seen == [(1e-6, 400), (1e-8, None)]
+        assert out == _curve_csv(real(optimizer.CostKind.SURROGATE, [40.0]))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -123,21 +122,27 @@ class TestBadInput:
             ("optimize", "--mean", "1", "--dim", "1000000"),
             ("optimize", "--kind", "surrogate", "--mean", "1", "--dim", "2000000"),
             ("discriminate", "--K", "2000"),
-            ("optimize", "--kind", "surrogate", "--mean", "100", "--seed", "-1"),
-            ("curve", "--kind", "surrogate", "--means", "1,100", "--seed", "-5"),
             ("simulate", "--state", "[[1,0]]", "--povm", "null-estimate.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "text-estimate.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "zero-estimate.json",
              "--grid", str(2**50)),
             ("simulate", "--state", "[[1,0],[1,0]]", "--povm", "ragged.json"),
+            # integers too large for a float, in a state, an element, an estimate
+            ("bounds", "--state", f"[[{10**400},0]]"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "huge-entry.json"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "huge-estimate.json"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
         # POM files named in argv, relative to the working directory
-        for name, estimate in (
-            ("null-estimate.json", None), ("text-estimate.json", "x"), ("zero-estimate.json", 0.0)
+        for name, estimate, entry in (
+            ("null-estimate.json", None, 1.0),
+            ("text-estimate.json", "x", 1.0),
+            ("zero-estimate.json", 0.0, 1.0),
+            ("huge-estimate.json", 10**400, 1.0),
+            ("huge-entry.json", 0.0, 10**400),
         ):
-            pom = {"dim": 1, "outcomes": [{"estimate": estimate, "matrix": [[[1.0, 0.0]]]}]}
+            pom = {"dim": 1, "outcomes": [{"estimate": estimate, "matrix": [[[entry, 0.0]]]}]}
             (tmp_path / name).write_text(json.dumps(pom))
         ragged = {"outcomes": [
             {"estimate": 0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
@@ -249,14 +254,12 @@ FUZZ_OPTIONS = {
         ("--mean", ["0.5", "3"], EDGES),
         ("--dim", ["2", "64"], EDGES),
         ("--mean-tol", ["1e-6", "1e-8"], EDGES),
-        ("--seed", ["0", "3"], EDGES),
     ],
     "curve": [
         ("--kind", ["exact", "surrogate"], ["x"]),
         ("--means", ["0.5", "0.5,3", "1,4"], EDGES + ["3,0.5", "0.5,nan", "1,x"]),
         ("--dim", ["2", "64"], EDGES),
         ("--mean-tol", ["1e-6", "1e-8"], EDGES),
-        ("--seed", ["0", "3"], EDGES),
     ],
     "simulate": [
         (

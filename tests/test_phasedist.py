@@ -250,6 +250,11 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="finite"):
             PhaseDistribution.from_json({"moments": [[1, 0], [bad.real, bad.imag]]})
 
+    def test_huge_integer_moment_rejected(self):
+        # an integer too large for a float is malformed data, not an OverflowError
+        with pytest.raises(ValidationError, match="malformed distribution data"):
+            PhaseDistribution.from_json({"moments": [[1, 0], [10**400, 0]]})
+
     def test_negative_density_rejected(self):
         # (1 + 1.8 cos t)/2pi dips to -0.8/2pi
         with pytest.raises(ValidationError, match="dips to"):

@@ -321,7 +321,7 @@ class TestPerPhaseVariance:
         s = random_state(rng, 4)
         povm = random_povm(rng, 4, 5)
         phis = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
-        avg = np.mean([per_phase_variance(povm, s, phi) for phi in phis])
+        avg = np.mean(per_phase_variance(povm, s, phis))
         msd = mean_square_deviation(average_distribution(povm, s))
         assert avg == pytest.approx(msd, abs=1e-6)
 
