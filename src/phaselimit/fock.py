@@ -9,7 +9,7 @@ equivalent single-mode state with the same distribution of N.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -201,11 +201,14 @@ def reduce_to_single_mode(spec: GeneratorSpec, multimode_amplitudes) -> ProbeSta
     if abs(norm2 - 1.0) > NORM_TOL:
         raise ValidationError("multimode amplitudes are not normalized")
 
-    ranges = [range(c + 1) for c in spec.cutoffs]
-    eigvals = np.array(
-        [generator_eigenvalue(spec, occ) for occ in itertools.product(*ranges)]
-    )
-    probs = np.zeros(int(eigvals.max()) + 1)
-    np.add.at(probs, eigvals, np.abs(amps) ** 2)
+    # numpy's int64 eigenvalues below would wrap silently past 2^63
+    if sum(p * c**spec.exponent for p, c in zip(spec.passes, spec.cutoffs)) >= 1 << 63:
+        raise ValidationError("generator eigenvalues exceed the int64 range")
+    # eigenvalue of every joint basis state, in the same C order
+    eigvals = functools.reduce(
+        np.add.outer,
+        [p * np.arange(c + 1) ** spec.exponent for p, c in zip(spec.passes, spec.cutoffs)],
+    ).ravel()
+    probs = np.bincount(eigvals, weights=np.abs(amps) ** 2)
     probs = probs[: int(np.nonzero(probs)[0].max()) + 1]
     return ProbeState(np.sqrt(probs / probs.sum()).astype(complex))

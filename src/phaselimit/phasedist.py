@@ -86,16 +86,24 @@ def canonical_distribution(state: ProbeState) -> PhaseDistribution:
     """Moments of the canonical phase density (1/2pi)|sum_n c_n e^{in theta}|^2.
 
     m_k = sum_n c_n conj(c_{n+k}); all moments beyond dim-1 vanish.  They
-    are the autocorrelation of c, read from one FFT zero-padded to the
-    power of two at or above 2*dim points so that no lag wraps around.
-    The density is a squared modulus, so the density-grid check of
-    PhaseDistribution is skipped.
+    are the autocorrelation of c, from one zero-padded FFT.  The density is
+    a squared modulus, so the density-grid check of PhaseDistribution is
+    skipped.
     """
-    d = state.dim
-    spectrum = np.fft.fft(state.amplitudes, 1 << (2 * d - 1).bit_length())
-    m = np.conj(np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[:d])
+    m = np.conj(_autocorrelation(state.amplitudes)[state.dim - 1 :])
     m[0] = 1.0
     return PhaseDistribution._nonnegative(m)
+
+
+def _autocorrelation(x: np.ndarray) -> np.ndarray:
+    """sum_m x_{m+k} conj(x_m) along the last axis (length d) at index d-1+k,
+    k = -(d-1)..d-1, by one FFT on the power of two at or above 2d points,
+    so that no lag wraps around."""
+    d = x.shape[-1]
+    points = 1 << (2 * d - 1).bit_length()
+    spectrum = np.fft.fft(x, points, axis=-1)
+    corr = np.fft.ifft(spectrum.real**2 + spectrum.imag**2, axis=-1)
+    return np.concatenate([corr[..., points - d + 1 :], corr[..., :d]], axis=-1)
 
 
 def density_grid(dist: PhaseDistribution, points: int, midpoint: bool = False) -> np.ndarray:

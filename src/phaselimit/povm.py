@@ -12,8 +12,8 @@ whose coefficient a_{j,k} is the sum of the k-th diagonal (n - m = k) of
 M_j * conj(c) c^T.  `_coefficients` computes all of them at once in
 O(n_outcomes * dim^2), and everything phase-dependent is read from them:
 the moments of the error distribution averaged uniformly over the phase
-(closed form, never numerical integration), the probabilities at any set of
-phases, and the K-phase success probabilities.
+(closed form, never numerical integration) and the probabilities at any set
+of phases.
 
 A POM whose outcomes are all rank 1, M_j = u_j u_j^H, can be held by the
 vectors u_j alone ("vector" outcomes in the JSON form).  Then a_{j,k} is the
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fock import ProbeState, _from_pairs, _to_pairs, make_state
-from .phasedist import PhaseDistribution
+from .phasedist import PhaseDistribution, _autocorrelation
 
 PSD_EIG_FLOOR = -1e-10
 HERMITIAN_TOL = 1e-10
@@ -46,12 +46,10 @@ VALIDATION_CHUNK = 16
 # Dense elements formed from the vectors of a rank-1 POM are refused above
 # this many bytes (J * dim^2 complex entries).
 MAX_ELEMENT_BYTES = 1 << 30
-# kphase_construction's work is O(K^2): the K x K Gram and probability
-# matrices, the K x (2K-1) coefficients and phase factors, and, largest, the
-# report's Gram list and the indented JSON text the CLI makes of it.  This
-# many bytes per K^2 bounds the peak memory of `discriminate` (measured:
-# see CHANGES.md), and K is refused above MAX_KPHASE_BYTES of it.
-KPHASE_BYTES_PER_ENTRY = 640
+# kphase_construction's work is a few K x K arrays and its report is O(K).
+# This many bytes per K^2 bounds the peak memory of `discriminate`
+# (measured: see CHANGES.md), and K is refused above MAX_KPHASE_BYTES of it.
+KPHASE_BYTES_PER_ENTRY = 66
 MAX_KPHASE_BYTES = 1 << 30
 
 
@@ -229,49 +227,33 @@ def _coefficients(povm: EstimatePOM, state: ProbeState) -> np.ndarray:
     """Fourier coefficients of the outcome probabilities in the phase.
 
     Column dim-1+k holds a_{j,k} = sum_{n-m=k} conj(c_n) (M_j)_{nm} c_m for
-    k = -(dim-1)..dim-1, so that p(j|phi) = sum_k a_{j,k} e^{ik phi}.  One
-    diagonal of all elements is read per k; no (n_outcomes, dim, dim)
-    temporary is formed.  For a vector POM, a_{j,k} = sum_m x_{m+k} conj(x_m)
-    with x = u_j * conj(c), one circular autocorrelation per outcome on a
-    grid of more than 2*dim-1 points, so that no lag wraps around.
+    k = -(dim-1)..dim-1, so that p(j|phi) = sum_k a_{j,k} e^{ik phi}.  For a
+    vector POM, a_{j,k} = sum_m x_{m+k} conj(x_m) with x = u_j * conj(c),
+    one autocorrelation per outcome.
     """
     if povm.dim != state.dim:
         raise ValidationError("POM and state dimensions differ")
     c = state.amplitudes
-    d = state.dim
     if povm.vectors is not None:
-        points = 1 << (2 * d - 1).bit_length()
-        spectrum = np.fft.fft(povm.vectors * np.conj(c), points, axis=1)
-        corr = np.fft.ifft(spectrum.real**2 + spectrum.imag**2, axis=1)
-        # lag k >= 0 sits at column k, lag k < 0 at column points + k
-        return np.concatenate([corr[:, points - d + 1 :], corr[:, :d]], axis=1)
-    a = np.empty((povm.n_outcomes, 2 * d - 1), dtype=complex)
+        return _autocorrelation(povm.vectors * np.conj(c))
+    return _diagonal_sums(povm.elements, c)
+
+
+def _diagonal_sums(elements: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a_{j,k} of `_coefficients` for dense elements, one diagonal of all
+    elements per k, so no (n_outcomes, dim, dim) temporary is formed."""
+    d = c.size
+    a = np.empty((elements.shape[0], 2 * d - 1), dtype=complex)
     for k in range(-(d - 1), d):
         # numpy's offset is m - n; entry i of the diagonal is (n, m) =
         # (i + k, i) for k >= 0 and (i, i - k) for k < 0.
-        diag = np.diagonal(povm.elements, offset=-k, axis1=1, axis2=2)
+        diag = np.diagonal(elements, offset=-k, axis1=1, axis2=2)
         if k >= 0:
             w = np.conj(c[k:]) * c[: d - k]
         else:
             w = np.conj(c[: d + k]) * c[-k:]
         a[:, d - 1 + k] = diag @ w
     return a
-
-
-def _phase_probabilities(povm: EstimatePOM, state: ProbeState, phis: np.ndarray) -> np.ndarray:
-    """p(j|phi_p) for a 1-d array of phases, shape (phases, outcomes)."""
-    d = state.dim
-    a = _coefficients(povm, state)
-    k = np.arange(-(d - 1), d)
-    # The rounding of k*phi (up to 6e-14 at k*phi ~ 800) would pass straight
-    # into p; with phi = hi + lo and hi on a 2^-36 grid, k*hi is exact.
-    hi = np.round(phis * 2.0**36) / 2.0**36
-    factors = np.exp(1j * np.outer(hi, k)) * np.exp(1j * np.outer(phis - hi, k))
-    probs = factors @ a.T
-    worst = np.max(np.abs(probs.imag), initial=0.0)
-    if worst > IMAG_TOL:
-        raise ValidationError(f"probability has imaginary part {worst:.3e}")
-    return np.maximum(probs.real, 0.0)
 
 
 def average_distribution(povm: EstimatePOM, state: ProbeState) -> PhaseDistribution:
@@ -315,14 +297,11 @@ def covariant_average_distribution(seed: np.ndarray, state: ProbeState) -> Phase
     """Moments of the average distribution generated by a covariant seed:
     m_k = 2*pi sum_n seed_{n+k,n} conj(c_{n+k}) c_n."""
     seed = np.asarray(seed, dtype=complex)
-    c = state.amplitudes
     d = state.dim
     if seed.shape != (d, d):
         raise ValidationError("seed and state dimensions differ")
-    m = np.empty(d, dtype=complex)
+    m = _diagonal_sums(TWO_PI * seed[None], state.amplitudes)[0, d - 1 :]
     m[0] = 1.0
-    for k in range(1, d):
-        m[k] = TWO_PI * np.dot(np.diagonal(seed, offset=-k), np.conj(c[k:]) * c[: d - k])
     return PhaseDistribution(m)
 
 
@@ -342,7 +321,17 @@ def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi):
     """
     phis = np.asarray(phi, dtype=float)
     flat = phis.reshape(-1)
-    var = _variances(povm.estimates, flat, _phase_probabilities(povm, state, flat))
+    a = _coefficients(povm, state)
+    k = np.arange(-(state.dim - 1), state.dim)
+    # The rounding of k*phi (up to 6e-14 at k*phi ~ 800) would pass straight
+    # into p; with phi = hi + lo and hi on a 2^-36 grid, k*hi is exact.
+    hi = np.round(flat * 2.0**36) / 2.0**36
+    factors = np.exp(1j * np.outer(hi, k)) * np.exp(1j * np.outer(flat - hi, k))
+    probs = factors @ a.T  # (phases, outcomes)
+    worst = np.max(np.abs(probs.imag), initial=0.0)
+    if worst > IMAG_TOL:
+        raise ValidationError(f"probability has imaginary part {worst:.3e}")
+    var = _variances(povm.estimates, flat, np.maximum(probs.real, 0.0))
     if phis.ndim == 0:
         return float(var[0])
     return var.reshape(phis.shape)
@@ -353,19 +342,18 @@ def kphase_construction(K: int):
     2*pi*k/K: the uniform K-level state and the rank-1 projectors onto its
     shifted copies, held as a vector POM.
 
-    Returns (state, povm, report); the report carries the Gram matrix of the
-    shifted states, the success probabilities at each special phase, the
-    mean number (K-1)/2 and the estimate's variance at each special phase,
-    all read from one phase-by-outcome probability matrix.  K is refused,
-    before anything is allocated, when the O(K^2) work would need more than
-    MAX_KPHASE_BYTES.
+    Returns (state, povm, report); the report carries the mean number
+    (K-1)/2, the largest deviation of the shifted states' Gram matrix from
+    the identity, and the success probability and the estimate's variance
+    at each special phase.  K is refused, before anything is allocated,
+    when the O(K^2) work would need more than MAX_KPHASE_BYTES.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
     need = KPHASE_BYTES_PER_ENTRY * K**2
     if need > MAX_KPHASE_BYTES:
         raise ValidationError(
-            f"K = {K} needs {need / 2**30:.3f} GiB for the K x K report "
+            f"K = {K} needs {need / 2**30:.3f} GiB for the K x K work "
             f"(limit {MAX_KPHASE_BYTES / 2**30:.0f} GiB)"
         )
     psi = make_state(np.ones(K))
@@ -374,11 +362,11 @@ def kphase_construction(K: int):
     shifted = np.exp(-1j * np.outer(phis, n)) * psi.amplitudes  # (k, n)
     povm = EstimatePOM(phis, vectors=shifted)
     gram = shifted @ shifted.conj().T
-    probs = _phase_probabilities(povm, psi, phis)
+    # the outcome vectors are the shifted probes, so p(j|phi_p) = |gram[p, j]|^2
+    probs = np.abs(gram) ** 2
     report = {
         "K": K,
         "mean_number": (K - 1) / 2,
-        "gram": _to_pairs(gram),
         "gram_identity_error": float(np.max(np.abs(gram - np.eye(K)))),
         "success_probabilities": [float(p) for p in np.diagonal(probs)],
         "per_phase_variance": _variances(povm.estimates, phis, probs).tolist(),

@@ -121,7 +121,7 @@ class TestBadInput:
             ("constants", "--out", "/nonexistent/dir/f"),
             ("optimize", "--mean", "1", "--dim", "1000000"),
             ("optimize", "--kind", "surrogate", "--mean", "1", "--dim", "2000000"),
-            ("discriminate", "--K", "2000"),
+            ("discriminate", "--K", "4034"),
             ("simulate", "--state", "[[1,0]]", "--povm", "null-estimate.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "text-estimate.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "zero-estimate.json",
@@ -221,6 +221,14 @@ class TestDiscriminate:
         assert rep["mean_number"] == 1.5
         assert rep["gram_identity_error"] < 1e-12
         assert np.allclose(rep["per_phase_variance"], 0, atol=1e-12)
+
+    def test_k1296_builds_without_gram(self, capsys):
+        # the first K refused while the report carried the K x K Gram list
+        code, out, _ = run_cli(capsys, "discriminate", "--K", "1296")
+        assert code == 0
+        rep = json.loads(out)["discrimination"]
+        assert "gram" not in rep
+        assert len(rep["success_probabilities"]) == 1296
 
     def test_k64_exact_at_special_phases(self, capsys):
         code, out, _ = run_cli(capsys, "discriminate", "--K", "64")

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselimit import (
     GeneratorSpec,
@@ -17,6 +19,16 @@ from phaselimit import (
     thermal_entropy,
 )
 from conftest import random_state
+
+# (passes, exponent, cutoffs, seed) of a multimode generator and state
+SPECS = st.integers(1, 3).flatmap(
+    lambda modes: st.tuples(
+        st.lists(st.integers(1, 3), min_size=modes, max_size=modes),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 4), min_size=modes, max_size=modes),
+        st.integers(0, 2**32 - 1),
+    )
+)
 
 
 class TestMakeState:
@@ -194,3 +206,45 @@ class TestReduceToSingleMode:
             reduce_to_single_mode(spec, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(ValidationError):
             reduce_to_single_mode(spec, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "passes, exponent, cutoffs",
+        [((1,), 64, (2,)), ((1, 1, 1), 62, (2, 2, 2)), ((2**63,), 1, (1,))],
+    )
+    def test_rejects_eigenvalues_past_int64(self, passes, exponent, cutoffs):
+        # 2^64 would wrap to eigenvalue 0 in int64 and merge with the vacuum
+        spec = GeneratorSpec(passes=passes, exponent=exponent, cutoffs=cutoffs)
+        amps = np.full(spec.joint_dim, spec.joint_dim**-0.5)
+        with pytest.raises(ValidationError, match="int64"):
+            reduce_to_single_mode(spec, amps)
+
+
+def _reduce_by_occupations(spec, amps):
+    """Reference reduction: one generator_eigenvalue call per joint basis
+    state, in C order over the per-mode occupations."""
+    weights = {}
+    ranges = [range(c + 1) for c in spec.cutoffs]
+    for occ, w in zip(itertools.product(*ranges), np.abs(amps) ** 2):
+        m = generator_eigenvalue(spec, occ)
+        weights[m] = weights.get(m, 0.0) + w
+    top = max(m for m, w in weights.items() if w > 0)
+    probs = np.array([weights.get(m, 0.0) for m in range(top + 1)])
+    return np.sqrt(probs / probs.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(SPECS)
+def test_reduction_matches_occupation_loop(case):
+    passes, exponent, cutoffs, seed = case
+    spec = GeneratorSpec(passes=passes, exponent=exponent, cutoffs=cutoffs)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(spec.joint_dim) + 1j * rng.standard_normal(spec.joint_dim)
+    # zero some amplitudes, the last ones included, so empty eigenvalues and a
+    # cut top of the spectrum both occur
+    amps[rng.random(spec.joint_dim) < 0.3] = 0.0
+    if not amps.any():
+        amps[0] = 1.0
+    amps /= np.linalg.norm(amps)
+    # the weights are summed in the same order, so the results are equal
+    reduced = reduce_to_single_mode(spec, amps)
+    np.testing.assert_array_equal(reduced.amplitudes, _reduce_by_occupations(spec, amps))

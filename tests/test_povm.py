@@ -403,9 +403,13 @@ class TestKPhaseConstruction:
     def test_report_variances_match_public_sweep(self, K):
         psi, povm, report = kphase_construction(K)
         phis = 2 * math.pi * np.arange(K) / K
-        assert report["per_phase_variance"] == per_phase_variance(povm, psi, phis).tolist()
+        # both are 0 in exact arithmetic; the report reads |gram|^2, the sweep
+        # the Fourier coefficients, so they agree to rounding
+        np.testing.assert_allclose(
+            report["per_phase_variance"], per_phase_variance(povm, psi, phis), rtol=0, atol=1e-14
+        )
         assert list(report) == [
-            "K", "mean_number", "gram", "gram_identity_error",
+            "K", "mean_number", "gram_identity_error",
             "success_probabilities", "per_phase_variance",
         ]
 
@@ -418,17 +422,17 @@ class TestKPhaseConstruction:
 
     def test_report_cap_refused_before_allocation(self, monkeypatch):
         first = math.isqrt(povm_module.MAX_KPHASE_BYTES // povm_module.KPHASE_BYTES_PER_ENTRY) + 1
-        assert first == 1296
+        assert first == 4034
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=r"^K = 1296 needs 1\.001 GiB .*GiB\)$"):
+            with pytest.raises(ValidationError, match=r"^K = 4034 needs 1\.000 GiB .*GiB\)$"):
                 kphase_construction(first)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
 
-        # K = 1295 passes the cap and goes on to build the state
+        # K = 4033 passes the cap and goes on to build the state
         def built(*args):
             raise RuntimeError("past the cap")
 
