@@ -81,6 +81,8 @@ class NumberDistribution:
         object.__setattr__(self, "probabilities", p)
         if p.ndim != 1 or p.size < 1:
             raise ValidationError("probabilities must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("probabilities must be finite")
         if np.any(p < 0):
             raise ValidationError("probabilities must be nonnegative")
         total = float(p.sum())
@@ -165,8 +167,8 @@ def number_entropy(state: ProbeState) -> float:
 def thermal_entropy(nbar: float) -> float:
     """Maximum entropy over number distributions with mean nbar:
     ln(nbar+1) + nbar ln(1 + 1/nbar), continuous at nbar = 0."""
-    if nbar < 0:
-        raise ValidationError("nbar must be nonnegative")
+    if not math.isfinite(nbar) or nbar < 0:
+        raise ValidationError("nbar must be finite and nonnegative")
     if nbar == 0:
         return 0.0
     return math.log(nbar + 1.0) + nbar * math.log1p(1.0 / nbar)

@@ -19,6 +19,8 @@ dimension: inverse iteration on Cholesky factors of B(lambda) - sigma*I
 below the spectrum.  Within one dimension each multiplier's eigensolve
 starts from the previous multiplier's eigenvector, which puts the first
 shift just below the new smallest eigenvalue.
+scipy (BLAS and LAPACK) is imported by the first eigensolve, not with the
+package, so commands that solve nothing start without it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from . import bounds
 from .errors import ConvergenceError, ValidationError
@@ -104,7 +104,9 @@ def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
     col[0] = math.pi**2 / 3
     if dim > 1:
         col[1:] = 2.0 * (-1.0) ** k[1:] / k[1:] ** 2
-    return scipy.linalg.toeplitz(col)
+    # row i is vals[dim-1-i : 2*dim-1-i], since vals[dim-1+m] = col[|m|]
+    vals = np.concatenate((col[::-1], col[1:]))
+    return np.lib.stride_tricks.sliding_window_view(vals, dim)[::-1].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +187,8 @@ def min_eigenpair(matrix, start=None):
     along the lowest eigenvector can still end on another eigenpair if no
     shift on the way fails.  mu is the Rayleigh quotient of the returned v.
     """
+    from scipy.linalg import blas
+
     band = matrix if isinstance(matrix, SymmetricBand) else None
     if band is None:
         matrix = np.asarray(matrix, dtype=float)
@@ -228,6 +232,8 @@ def min_eigenpair(matrix, start=None):
 def _shifted_cholesky(matrix, shift: float):
     """x -> (A - shift*I)^-1 x from a Cholesky factor of A - shift*I, or
     None when the factorization fails: then A has an eigenvalue <= shift."""
+    from scipy.linalg import lapack
+
     if isinstance(matrix, SymmetricBand):
         ab = matrix.band.copy()
         ab[0] -= shift
@@ -274,6 +280,8 @@ def _refactor_pays(q: float, delta: float, r: float, dist: float, stop: float, c
 def _inverse_iteration(matrix, norm_est: float, start):
     """Eigenvector of the smallest eigenvalue of a symmetric matrix by
     Cholesky-certified inverse iteration; see min_eigenpair."""
+    from scipy.linalg import blas
+
     n = matrix.shape[0]
     norm = norm_est or 1.0  # the zero matrix needs tolerances and a shift too
     tau = RESIDUAL_TOL * norm

@@ -125,8 +125,8 @@ class EstimatePOM:
             need = 16 * u.shape[0] * u.shape[1] ** 2
             if need > MAX_ELEMENT_BYTES:
                 raise ValidationError(
-                    f"dense elements need {need / 2**30:.1f} GiB "
-                    f"(limit {MAX_ELEMENT_BYTES / 2**30:.0f} GiB)"
+                    f"dense elements need {need} bytes "
+                    f"(limit {MAX_ELEMENT_BYTES} bytes = {MAX_ELEMENT_BYTES >> 30} GiB)"
                 )
             self._elements = _read_only(u[:, :, None] * u.conj()[:, None, :], complex)
         return self._elements
@@ -353,8 +353,8 @@ def kphase_construction(K: int):
     need = KPHASE_BYTES_PER_ENTRY * K**2
     if need > MAX_KPHASE_BYTES:
         raise ValidationError(
-            f"K = {K} needs {need / 2**30:.3f} GiB for the K x K work "
-            f"(limit {MAX_KPHASE_BYTES / 2**30:.0f} GiB)"
+            f"K = {K} needs {need} bytes for the K x K work "
+            f"(limit {MAX_KPHASE_BYTES} bytes = {MAX_KPHASE_BYTES >> 30} GiB)"
         )
     psi = make_state(np.ones(K))
     phis = TWO_PI * np.arange(K) / K

@@ -86,6 +86,12 @@ class TestNumberDistribution:
         with pytest.raises(ValidationError):
             NumberDistribution(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("probs", [[math.nan], [0.5, math.nan, 0.5]])
+    def test_nan_rejected(self, probs):
+        # NaN fails both the sign and the sum test, so it needs its own check
+        with pytest.raises(ValidationError, match="finite"):
+            NumberDistribution(np.array(probs))
+
 
 class TestMeanNumber:
     def test_vacuum(self):
@@ -116,6 +122,11 @@ class TestEntropies:
         assert thermal_entropy(1) == pytest.approx(2 * math.log(2), abs=1e-12)
         with pytest.raises(ValidationError):
             thermal_entropy(-0.5)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_thermal_rejects_non_finite(self, nbar):
+        with pytest.raises(ValidationError, match="finite"):
+            thermal_entropy(nbar)
 
     def test_thermal_majorizes_random_states(self, rng):
         # thermal distribution maximizes entropy at fixed mean

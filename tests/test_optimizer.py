@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -48,6 +49,12 @@ class TestCostMatrix:
         a = cost_matrix(CostKind.SURROGATE, 8)
         assert np.allclose(np.triu(a, 3), 0)
         assert a[0, 2] == pytest.approx(1 / 12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 300])
+    def test_exact_equals_scipy_toeplitz(self, dim):
+        a = cost_matrix(CostKind.EXACT_SQUARE, dim)
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert np.array_equal(a, scipy.linalg.toeplitz(a[:, 0]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_surrogate_small_dims(self, dim):
@@ -511,18 +518,36 @@ def test_min_eigenpair_matches_eigvalsh(case):
     assert residual <= 1e-9 * norm
 
 
-def test_package_does_not_import_scipy_sparse_linalg():
-    # nor scipy.special: importing it adds about 0.25 s to every CLI start
+def test_only_eigensolves_import_scipy(tmp_path):
+    # importing scipy.linalg adds about 0.25 s to a process: only an
+    # eigensolve may load scipy, and then neither scipy.special nor
+    # scipy.sparse.linalg
+    state, pom, _ = phaselimit.kphase_construction(4)
+    (tmp_path / "state.json").write_text(json.dumps(state.to_json()))
+    (tmp_path / "pom.json").write_text(json.dumps(pom.to_json()))
     code = (
-        "import sys, phaselimit.cli; "
-        "print(any(m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.special')))"
+        "import contextlib, io, sys, phaselimit.cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert phaselimit.cli.main(list(argv)) == 0, argv\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "run('constants')\n"
+        "run('bounds', '--state', '[[1,0],[1,0]]')\n"
+        "run('discriminate', '--K', '4')\n"
+        "run('simulate', '--povm', sys.argv[1], '--state', sys.argv[2])\n"
+        "print(loaded())\n"
+        "run('optimize', '--kind', 'exact', '--mean', '1')\n"
+        "print('scipy.linalg' in loaded(),\n"
+        "      any(m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.special')))\n"
     )
     src = os.path.dirname(os.path.dirname(phaselimit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, str(tmp_path / "pom.json"), str(tmp_path / "state.json")],
+        capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "True False"]
 
 
 class TestOptimizeAtMean:

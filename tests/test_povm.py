@@ -191,7 +191,7 @@ class TestVectorPOM:
     def test_dense_elements_capped(self):
         # 407 outcomes of dim 407 would expand to just over 2^30 bytes
         _, povm, _ = kphase_construction(407)
-        with pytest.raises(ValidationError, match="GiB"):
+        with pytest.raises(ValidationError, match=r"need 1078706288 bytes \(limit 1073741824 bytes"):
             povm.elements
 
     def test_kphase_skips_element_checks(self, monkeypatch):
@@ -425,7 +425,9 @@ class TestKPhaseConstruction:
         assert first == 4034
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=r"^K = 4034 needs 1\.000 GiB .*GiB\)$"):
+            # the need is printed in bytes, so it visibly exceeds the limit
+            message = r"^K = 4034 needs 1074028296 bytes .*\(limit 1073741824 bytes = 1 GiB\)$"
+            with pytest.raises(ValidationError, match=message):
                 kphase_construction(first)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
