@@ -19,6 +19,16 @@ dimension: inverse iteration on Cholesky factors of B(lambda) - sigma*I
 below the spectrum.  Within one dimension each multiplier's eigensolve
 starts from the previous multiplier's eigenvector, which puts the first
 shift just below the new smallest eigenvalue.
+Along a curve (figure2_curve) each point continues from its predecessor,
+as in predictor-corrector continuation: if the target's log(mean+1) lies
+at most log 2 above the predecessor's (a step h) and the predecessor's
+final secant slope s = d log(mean+1)/d log(lambda) lies in [-1, -0.1],
+the search starts at lambda_prev*exp(h/s), seeds its secant with s and
+starts its first eigensolve from the predecessor's eigenvector.  Any other
+point, the first of a curve and any doubled dimension start cold, from
+the asymptote.  A continued point meets every certificate of a cold one,
+but its multiplier search takes a different path, so its row can differ
+from a cold optimize_at_mean's within the mean tolerance.
 scipy (BLAS and LAPACK) is imported by the first eigensolve, not with the
 package, so commands that solve nothing start without it.
 """
@@ -53,6 +63,11 @@ MAX_MULTIPLIER_STEPS = 100
 # d log(mean+1)/d log(lambda) on the asymptote lambda ~ 2 k_C^2/(mean+1)^3
 ASYMPTOTIC_SLOPE = -1.0 / 3.0
 LOG4 = math.log(4.0)
+LOG2 = math.log(2.0)
+# A curve point continues from its predecessor only if the predecessor's
+# final secant slope lies in this range: at tiny means the slope tends to 0
+# and a prediction along it overshoots by many decades.
+CONTINUATION_SLOPES = (-1.0, -0.1)
 
 
 class CostKind(enum.Enum):
@@ -380,11 +395,23 @@ def default_dim(target_mean: float) -> int:
     return max(64, math.ceil(8 * target_mean))
 
 
+@dataclass
+class _CurvePoint:
+    """The last point of a curve, which figure2_curve carries into its next
+    point's search: that point's result and its search's final secant
+    slope (None if the search ended at lambda = 0)."""
+
+    result: OptimizationResult | None = None
+    slope: float | None = None
+
+
 def optimize_at_mean(
     kind: CostKind,
     target_mean: float,
     dim: int | None = None,
     mean_tol: float = 1e-8,
+    *,
+    _curve: _CurvePoint | None = None,
 ) -> OptimizationResult:
     """Global minimum of the cost over probe states with the given mean.
 
@@ -400,6 +427,9 @@ def optimize_at_mean(
     doubled and the solve repeated, up to the per-path dimension cap.
     Each dimension's first eigensolve starts from the fixed pseudo-random
     vector of min_eigenpair, so the result is the same on every run.
+    ``_curve`` is figure2_curve's own: the search at the first dimension
+    continues from its point when _continuation allows, and the call
+    leaves its own point there.
     """
     if not math.isfinite(target_mean) or target_mean < 0:
         raise ValidationError("target mean must be finite and nonnegative")
@@ -418,18 +448,51 @@ def optimize_at_mean(
 
     # The tail certificate drives dimension doubling only when the dimension
     # came from the policy; an explicit dim is honored as a hard truncation.
+    # A doubled dimension starts cold.
+    start = _continuation(_curve, target_mean, dim)
     while True:
-        result = _solve_fixed_dim(kind, target_mean, dim, mean_tol)
+        result, slope = _solve_fixed_dim(kind, target_mean, dim, mean_tol, start)
         if not auto_dim or result.tail_mass < TAIL_TOL:
-            return result
+            break
         if dim >= cap:
             raise ConvergenceError(
                 f"truncation cap {cap} reached with tail mass {result.tail_mass:.3e}"
             )
         dim = min(2 * dim, cap)
+        start = None
+    if _curve is not None:
+        _curve.result, _curve.slope = result, slope
+    return result
 
 
-def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
+def _continuation(curve, target_mean, dim):
+    """Start (vector, lambda, slope) for the search at ``target_mean`` from
+    the previous point of a curve, or None to start cold.
+
+    Continues only from a point at most a factor 2 below in mean+1 whose
+    final secant slope s = d log(mean+1)/d log(lambda) lies in
+    CONTINUATION_SLOPES; the first multiplier is then the previous one moved
+    along that slope to the target, and the first eigensolve starts from
+    the previous eigenvector, zero-padded or truncated to ``dim``.
+    """
+    if curve is None or curve.slope is None:
+        return None
+    result, slope = curve.result, curve.slope
+    step = math.log1p(target_mean) - math.log1p(result.achieved_mean)
+    low, high = CONTINUATION_SLOPES
+    if not (step <= LOG2 and low <= slope <= high):
+        return None
+    v = np.zeros(dim)
+    n = min(dim, result.dim)
+    v[:n] = result.state.amplitudes[:n].real
+    return v, result.lam * math.exp(step / slope), slope
+
+
+def _solve_fixed_dim(kind, target_mean, dim, mean_tol, start=None):
+    """Multiplier search at one dimension: the result and the search's final
+    secant slope (None if it ended at lambda = 0).  ``start`` is a
+    (vector, lambda, slope) from _continuation, or None to start from the
+    asymptote."""
     tol = mean_tol * (1.0 + target_mean)
     iterations = 0
 
@@ -439,8 +502,9 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
         return solve_at_multiplier(kind, dim, lam, start=start)
 
     # Secant on y = log(mean+1) against x = log(lambda), started on the
-    # large-mean asymptote and kept inside the bracket lo < lambda < hi of
-    # the multipliers tried so far (the mean is nonincreasing in lambda).
+    # large-mean asymptote (or continued from a neighbouring point) and kept
+    # inside the bracket lo < lambda < hi of the multipliers tried so far
+    # (the mean is nonincreasing in lambda).
     # The unconstrained (lambda=0) solve only tests feasibility, so it runs
     # only when a multiplier has landed below the target with no multiplier
     # above it yet; its point never enters the secant or the bracket, and
@@ -448,13 +512,20 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
     # eigenvector, never from the lambda=0 one.
     y_target = math.log1p(target_mean)
     lo, hi = 0.0, math.inf
-    lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
-    slope = ASYMPTOTIC_SLOPE
+    if start is None:
+        lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
+        slope = ASYMPTOTIC_SLOPE
+        v = None
+    else:
+        v, lam, slope = start
     last = None
     feasible = False
-    v = None
     while True:
         mu, v, mean, residual = solve(lam, start=v)
+        x, y = math.log(lam), math.log1p(mean)
+        if last is not None and x != last[0]:
+            secant = (y - last[1]) / (x - last[0])
+            slope = secant if secant < 0 else ASYMPTOTIC_SLOPE
         if abs(mean - target_mean) <= tol:
             break
         if mean > target_mean:
@@ -472,6 +543,7 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
                 if abs(unconstrained[2] - target_mean) <= tol:
                     lam = 0.0
                     mu, v, mean, residual = unconstrained
+                    slope = None
                     break
                 feasible = True
         if iterations >= MAX_MULTIPLIER_STEPS:
@@ -479,10 +551,6 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
                 f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
                 f"after {iterations} eigensolves"
             )
-        x, y = math.log(lam), math.log1p(mean)
-        if last is not None and x != last[0]:
-            secant = (y - last[1]) / (x - last[0])
-            slope = secant if secant < 0 else ASYMPTOTIC_SLOPE
         last = (x, y)
         lam = _next_multiplier(lam, (y_target - y) / slope, lo, hi)
 
@@ -498,7 +566,7 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol) -> OptimizationResult:
         tail_mass=tail_mass,
         residual=residual,
         iterations=iterations,
-    )
+    ), slope
 
 
 def _next_multiplier(lam, step, lo, hi):
@@ -527,6 +595,14 @@ def figure2_curve(
     """Minimum-product curve rows, one per requested mean, in input order.
 
     product = (mean+1)*sqrt(cost), matching the <N+1> delta-Phi axis.
+    Each point is one optimize_at_mean call.  The first is solved cold;
+    each later one continues from the previous point (its multiplier, final
+    secant slope and eigenvector; see the module docstring) when its mean+1
+    is at most twice the previous and that slope lies in
+    CONTINUATION_SLOPES, and otherwise is solved cold.  A continued row
+    meets the same mean tolerance, tail and residual certificates, but may
+    differ from a cold optimize_at_mean's row within the mean tolerance, and
+    its ``iterations`` counts its own, usually fewer, eigensolves.
     """
     means = [float(m) for m in means]
     if not all(math.isfinite(m) and m > 0 for m in means) or any(
@@ -534,8 +610,10 @@ def figure2_curve(
     ):
         raise ValidationError("means must be finite, positive and strictly ascending")
 
+    curve = _CurvePoint()
+
     def run(mean):
-        res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol)
+        res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol, _curve=curve)
         delta = math.sqrt(res.cost)
         return {
             "mean": res.achieved_mean,

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselimit import kphase_construction, make_state, optimizer
-from phaselimit.cli import _curve_csv, main
+from phaselimit import ValidationError, kphase_construction, make_state, optimizer
+from phaselimit.cli import _curve_csv, _load_povm, main
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +212,24 @@ class TestSimulate:
     def test_missing_povm_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--state", "[[1,0]]", "--povm", "/nope.json")
         assert code == 1
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    def test_povm_load_restores_gc_state(self, tmp_path, was_enabled):
+        # the parse pauses the cyclic collector and leaves it as it found it,
+        # whether the file parses or not
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(kphase_construction(4)[1].to_json()))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"outcomes": [')
+        try:
+            gc.enable() if was_enabled else gc.disable()
+            assert len(_load_povm(str(good)).estimates) == 4
+            assert gc.isenabled() is was_enabled
+            with pytest.raises(ValidationError, match="cannot read POM file"):
+                _load_povm(str(bad))
+            assert gc.isenabled() is was_enabled
+        finally:
+            gc.enable()
 
 
 class TestDiscriminate:

@@ -768,6 +768,55 @@ def test_exact_product_curve_nonincreasing(means):
     assert all(lam > 0 for _, lam in calls)
 
 
+def cold_rows(kind, means):
+    """Curve rows with every point solved cold: a one-mean curve never
+    continues."""
+    return [figure2_curve(kind, [m])[0] for m in means]
+
+
+class TestContinuation:
+    # At mean 0.001 the final secant slope is about -0.002: a prediction
+    # along it sent lambda to 5e-58 (0.31), and a clamped one landed below
+    # the target and forced a lambda = 0 solve (0.019).  Both points must
+    # run cold.
+    @pytest.mark.parametrize("means", [[0.001, 0.31], [0.001, 0.019]])
+    def test_tiny_mean_slope_is_not_continued(self, means):
+        mean_tol = 1e-8
+        patcher, calls = spy_solves()
+        with patcher:
+            rows = figure2_curve(CostKind.EXACT_SQUARE, means, mean_tol=mean_tol)
+        assert all(lam > 0 for _, lam in calls)
+        for row, target in zip(rows, means):
+            assert abs(row["mean"] - target) <= mean_tol * (1 + target)
+        assert rows == cold_rows(CostKind.EXACT_SQUARE, means)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.integers(1, 600), min_size=2, max_size=5, unique=True))
+    def test_rows_match_eigvalsh_and_cold_search(self, tenths):
+        means = [k / 10 for k in sorted(tenths)]
+        rows = figure2_curve(CostKind.EXACT_SQUARE, means)
+        for row, target, cold in zip(rows, means, cold_rows(CostKind.EXACT_SQUARE, means)):
+            b = cost_matrix(CostKind.EXACT_SQUARE, row["dim"])
+            b[np.diag_indices(row["dim"])] += row["lambda"] * np.arange(row["dim"])
+            mu = row["cost"] + row["lambda"] * row["mean"]
+            assert mu == pytest.approx(np.linalg.eigvalsh(b)[0], rel=1e-10)
+            tol = 1e-8 * (1 + target)
+            assert abs(row["mean"] - target) <= tol
+            assert abs(row["mean"] - cold["mean"]) <= 2 * tol
+            assert row["product"] == pytest.approx(cold["product"], rel=1e-8)
+
+    def test_close_grid_takes_fewer_solves(self):
+        means = np.geomspace(0.5, 32, 10)
+        rows = figure2_curve(CostKind.EXACT_SQUARE, means)
+        cold = cold_rows(CostKind.EXACT_SQUARE, means)
+        assert rows[0] == cold[0]
+        assert sum(r["iterations"] for r in rows) < sum(r["iterations"] for r in cold)
+
+    def test_decade_spaced_curve_runs_cold(self):
+        means = [0.4, 4, 40, 400]
+        assert figure2_curve(CostKind.SURROGATE, means) == cold_rows(CostKind.SURROGATE, means)
+
+
 class TestFigure2Curve:
     def test_exact_curve_shape(self):
         rows = figure2_curve(CostKind.EXACT_SQUARE, [0.5, 1, 2, 5, 10])
