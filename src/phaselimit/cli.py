@@ -70,11 +70,14 @@ def _jsonable(x):
 def _load_state(spec: str) -> fock.ProbeState:
     text = spec
     if os.path.exists(spec):
-        with open(spec) as fh:
-            text = fh.read()
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"cannot decode state file {spec}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"state is neither a file nor valid JSON: {exc}") from exc
     return fock.ProbeState.from_json(data)
 
@@ -88,7 +91,7 @@ def _load_povm(path: str) -> povm.EstimatePOM:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read POM file {path}: {exc}") from exc
     finally:
         if enabled:

@@ -20,7 +20,11 @@ from .fock import ProbeState, _from_pairs, _to_pairs
 DENSITY_FLOOR = -1e-9
 HOLEVO_SENTINEL = 1e-14
 DEFAULT_ENTROPY_GRID = 8192
-MAX_ENTROPY_GRID = 1 << 22  # the doubled grid's complex spectrum is 128 MB
+# At this limit the doubled grid's 2^23-point real inverse FFT allocates a
+# 64 MB half spectrum and a 64 MB density; with the 64 MB p ln p buffer and
+# the 8 MB mask of _entropy_on_grid, differential_entropy peaks at about
+# 136 MB (measured with tracemalloc).
+MAX_ENTROPY_GRID = 1 << 22
 ENTROPY_REFINE_TOL = 1e-8
 
 
@@ -107,20 +111,24 @@ def _autocorrelation(x: np.ndarray) -> np.ndarray:
 
 
 def density_grid(dist: PhaseDistribution, points: int, midpoint: bool = False) -> np.ndarray:
-    """Density on a uniform grid over [-pi, pi) via an inverse FFT of the
-    two-sided moment spectrum.  ``midpoint`` shifts the grid by half a step."""
+    """Density p(theta_j) = (1/2pi) sum_{|k|<=kmax} m_k e^{-ik theta_j} on the
+    uniform grid theta_j = -pi + 2pi j/points (shifted by half a step when
+    ``midpoint``), as a float64 array of length ``points``.
+
+    The density is real, so one real inverse FFT of the one-sided spectrum
+    k = 0..kmax evaluates it; m_{-k} = conj(m_k) is implied, never stored.
+    """
     if points <= 2 * dist.kmax:
         raise ValidationError("grid must have more points than twice kmax")
-    m = np.asarray(dist.moments)
+    m = dist.moments
     offset = -math.pi + (math.pi / points if midpoint else 0.0)
-    # theta_j = offset + 2*pi*j/points; fold the phase of the grid origin
-    # into the spectrum so a plain FFT evaluates sum_k m_k e^{-ik theta_j}.
-    k = np.arange(m.size)
-    spec = np.zeros(points, dtype=complex)
-    twisted = m * np.exp(-1j * k * offset)
-    spec[: m.size] = twisted
-    spec[points - m.size + 1 :] += np.conj(twisted[1:][::-1])
-    return np.fft.fft(spec).real / (2 * math.pi)
+    # e^{-ik theta_j} = e^{-ik offset} e^{-2pi i jk/points}: the grid origin's
+    # phase and the 1/2pi are folded into the one-sided spectrum, conjugated
+    # because irfft's kernel is e^{+2pi i jk/points}; norm="forward" leaves
+    # the sum unscaled.  kmax < points/2, so an even grid's Nyquist bin is 0.
+    spec = np.zeros(points // 2 + 1, dtype=complex)
+    spec[: m.size] = np.conj(m * np.exp(-1j * offset * np.arange(m.size))) / (2 * math.pi)
+    return np.fft.irfft(spec, points, norm="forward")
 
 
 def density_at(dist: PhaseDistribution, theta: float) -> float:
@@ -161,9 +169,11 @@ def differential_entropy(
 ) -> float:
     """H(Theta) = -int p ln p by the composite midpoint rule.
 
-    The result at ``grid_points`` must agree with the doubled grid to
-    ENTROPY_REFINE_TOL, else ConvergenceError is raised.  ``grid_points``
-    above MAX_ENTROPY_GRID is refused before anything is allocated.
+    p is evaluated by ``density_grid`` on midpoint grids of ``grid_points``
+    and 2*``grid_points`` points, one real inverse FFT each.  The result at
+    ``grid_points`` must agree with the doubled grid to ENTROPY_REFINE_TOL,
+    else ConvergenceError is raised.  ``grid_points`` above MAX_ENTROPY_GRID
+    is refused before anything is allocated.
     """
     if grid_points < 64 or grid_points & (grid_points - 1):
         raise ValidationError("grid_points must be a power of two >= 64")
@@ -180,9 +190,12 @@ def differential_entropy(
 
 
 def _entropy_on_grid(dist: PhaseDistribution, points: int) -> float:
-    p = np.clip(density_grid(dist, points, midpoint=True), 0.0, None)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])) * (2 * math.pi / points))
+    p = density_grid(dist, points, midpoint=True)
+    np.maximum(p, 0.0, out=p)
+    # 0 ln 0 = 0: the logarithm is taken where p > 0 and left 0 elsewhere
+    plogp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    plogp *= p
+    return float(-plogp.sum() * (2 * math.pi / points))
 
 
 def ensemble_length(dist: PhaseDistribution, grid_points: int = DEFAULT_ENTROPY_GRID) -> float:

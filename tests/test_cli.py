@@ -132,6 +132,13 @@ class TestBadInput:
             ("bounds", "--state", f"[[{10**400},0]]"),
             ("simulate", "--state", "[[1,0]]", "--povm", "huge-entry.json"),
             ("simulate", "--state", "[[1,0]]", "--povm", "huge-estimate.json"),
+            # files that are not UTF-8 text, or nest deeper than the JSON
+            # decoder can recurse, for each loader
+            ("bounds", "--state", "utf16.json"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "utf16.json"),
+            ("bounds", "--state", "deep.json"),
+            ("bounds", "--state", "[" * 200000),
+            ("simulate", "--state", "[[1,0]]", "--povm", "deep.json"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -150,6 +157,8 @@ class TestBadInput:
             {"estimate": 1, "matrix": [[[0.5, 0]]]},
         ]}
         (tmp_path / "ragged.json").write_text(json.dumps(ragged))
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe[[1,0]]")
+        (tmp_path / "deep.json").write_text("[" * 200000)
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

@@ -5,8 +5,10 @@ import pytest
 
 from phaselimit import phasedist
 from phaselimit import (
+    ConvergenceError,
     PhaseDistribution,
     ValidationError,
+    average_distribution,
     canonical_distribution,
     density_at,
     differential_entropy,
@@ -17,7 +19,7 @@ from phaselimit import (
     number_entropy,
     surrogate_cost,
 )
-from conftest import msd_quadrature, random_state
+from conftest import msd_quadrature, random_povm, random_state
 
 # High-precision quadrature oracle values for the density (1+cos t)/(2 pi)
 # (state (|0>+|1>)/sqrt(2)), frozen from a 40-digit mpmath run:
@@ -97,6 +99,76 @@ class TestDensityAt:
         theta = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
         total = sum(density_at(dist, t) for t in theta) * 2 * math.pi / 4096
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def complex_fft_density_grid(dist, points, midpoint=False):
+    """Reference: the density as the real part of one complex FFT of the
+    two-sided (mirrored, conjugated) moment spectrum."""
+    m = np.asarray(dist.moments)
+    offset = -math.pi + (math.pi / points if midpoint else 0.0)
+    k = np.arange(m.size)
+    spec = np.zeros(points, dtype=complex)
+    twisted = m * np.exp(-1j * k * offset)
+    spec[: m.size] = twisted
+    spec[points - m.size + 1 :] += np.conj(twisted[1:][::-1])
+    return np.fft.fft(spec).real / (2 * math.pi)
+
+
+def complex_fft_entropy_on_grid(dist, points):
+    """Reference midpoint-rule entropy on the complex-FFT density."""
+    p = np.clip(complex_fft_density_grid(dist, points, midpoint=True), 0.0, None)
+    mask = p > 0
+    return float(-np.sum(p[mask] * np.log(p[mask])) * (2 * math.pi / points))
+
+
+class TestDensityGrid:
+    def random_distributions(self, rng):
+        for d in (1, 2, 3, 8, 17, 40):
+            yield canonical_distribution(random_state(rng, d))
+        for d, outcomes in ((1, 2), (2, 3), (5, 4), (12, 6)):
+            yield average_distribution(random_povm(rng, d, outcomes), random_state(rng, d))
+
+    @pytest.mark.parametrize("midpoint", [False, True])
+    def test_matches_density_at(self, rng, midpoint):
+        for dist in self.random_distributions(rng):
+            kmax = dist.kmax
+            # the smallest grid (odd; 1 point at dim 1), the smallest even
+            # grid, and larger ones
+            for points in (2 * kmax + 1, 2 * kmax + 2, 2 * kmax + 37, 128):
+                grid = phasedist.density_grid(dist, points, midpoint=midpoint)
+                assert grid.dtype == np.float64
+                assert grid.shape == (points,)
+                step = 2 * math.pi / points
+                theta = -math.pi + step * (np.arange(points) + (0.5 if midpoint else 0.0))
+                expected = np.array([density_at(dist, t) for t in theta])
+                np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-13)
+
+    def test_too_few_points_rejected(self, rng):
+        dist = canonical_distribution(random_state(rng, 5))
+        with pytest.raises(ValidationError, match="more points than twice kmax"):
+            phasedist.density_grid(dist, 8)
+
+    def test_entropy_matches_complex_fft_reference(self):
+        # 64 seeded states with dims log-spread over 2..512: the entropy on
+        # both grids agrees with the complex-FFT reference to rounding, and
+        # the same states fail the refinement test
+        rng = np.random.default_rng(14)
+        dims = np.geomspace(2, 512, 64).round().astype(int)
+        grid = phasedist.DEFAULT_ENTROPY_GRID
+        failures = 0
+        for d in dims:
+            dist = canonical_distribution(random_state(rng, int(d)))
+            coarse = complex_fft_entropy_on_grid(dist, grid)
+            fine = complex_fft_entropy_on_grid(dist, 2 * grid)
+            assert phasedist._entropy_on_grid(dist, grid) == pytest.approx(coarse, abs=1e-14)
+            assert phasedist._entropy_on_grid(dist, 2 * grid) == pytest.approx(fine, abs=1e-14)
+            if abs(fine - coarse) >= phasedist.ENTROPY_REFINE_TOL:
+                failures += 1
+                with pytest.raises(ConvergenceError):
+                    differential_entropy(dist)
+            else:
+                assert differential_entropy(dist) == pytest.approx(coarse, abs=1e-14)
+        assert 0 < failures < 64  # both outcomes are exercised
 
 
 class TestMeanSquareDeviation:
