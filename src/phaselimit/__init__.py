@@ -47,8 +47,6 @@ from .povm import (
     EstimatePOM,
     average_distribution,
     conditional_probability,
-    covariant_average_distribution,
-    covariant_seed,
     kphase_construction,
     per_phase_variance,
     wrap_angle,

@@ -232,7 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="average-error statistics of a POM on a state")
     p.add_argument("--povm", required=True, help="POM JSON file")
     p.add_argument("--state", required=True, help="JSON file or inline JSON")
-    p.add_argument("--grid", type=int, default=phasedist.DEFAULT_ENTROPY_GRID)
+    p.add_argument(
+        "--grid", type=int, default=None,
+        help="entropy quadrature points, a power of two above 2*(dim-1); "
+        f"default: the smallest such at or above {phasedist.DEFAULT_ENTROPY_GRID}",
+    )
     common(p)
     p.set_defaults(func=_cmd_simulate)
 

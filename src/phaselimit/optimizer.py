@@ -392,7 +392,9 @@ def _vacuum_result(kind: CostKind, dim: int) -> OptimizationResult:
 
 
 def default_dim(target_mean: float) -> int:
-    return max(64, math.ceil(8 * target_mean))
+    # 8 * mean is inf for means near the float maximum; callers clip the
+    # result to a dimension cap far below 2^62
+    return max(64, math.ceil(min(8 * target_mean, 2.0**62)))
 
 
 @dataclass

@@ -37,10 +37,7 @@ class PhaseDistribution:
     def __post_init__(self):
         m = _checked_moments(self.moments)
         object.__setattr__(self, "moments", m)
-        points = 4096
-        while points <= 2 * (m.size - 1):
-            points *= 2
-        dens = density_grid(self, points)
+        dens = density_grid(self, _grid_above(m.size - 1, 4096))
         worst = float(dens.min())
         if worst < DENSITY_FLOOR:
             raise ValidationError(
@@ -164,17 +161,26 @@ def surrogate_cost(dist: PhaseDistribution) -> float:
     return 2.5 - (8.0 / 3.0) * m1 + (1.0 / 6.0) * m2
 
 
-def differential_entropy(
-    dist: PhaseDistribution, grid_points: int = DEFAULT_ENTROPY_GRID
-) -> float:
+def _grid_above(kmax: int, least: int) -> int:
+    """The smallest power of two >= the power of two ``least`` that exceeds
+    2*kmax, so that a density grid of that many points resolves kmax."""
+    return max(least, 1 << (2 * kmax).bit_length())
+
+
+def differential_entropy(dist: PhaseDistribution, grid_points: int | None = None) -> float:
     """H(Theta) = -int p ln p by the composite midpoint rule.
 
     p is evaluated by ``density_grid`` on midpoint grids of ``grid_points``
     and 2*``grid_points`` points, one real inverse FFT each.  The result at
     ``grid_points`` must agree with the doubled grid to ENTROPY_REFINE_TOL,
-    else ConvergenceError is raised.  ``grid_points`` above MAX_ENTROPY_GRID
-    is refused before anything is allocated.
+    else ConvergenceError is raised.  ``grid_points`` defaults to the
+    smallest power of two >= DEFAULT_ENTROPY_GRID that exceeds 2*kmax
+    (DEFAULT_ENTROPY_GRID itself for kmax < DEFAULT_ENTROPY_GRID / 2); a
+    given ``grid_points`` must itself exceed 2*kmax.  ``grid_points`` above
+    MAX_ENTROPY_GRID is refused before anything is allocated.
     """
+    if grid_points is None:
+        grid_points = _grid_above(dist.kmax, DEFAULT_ENTROPY_GRID)
     if grid_points < 64 or grid_points & (grid_points - 1):
         raise ValidationError("grid_points must be a power of two >= 64")
     if grid_points > MAX_ENTROPY_GRID:
@@ -198,6 +204,7 @@ def _entropy_on_grid(dist: PhaseDistribution, points: int) -> float:
     return float(-plogp.sum() * (2 * math.pi / points))
 
 
-def ensemble_length(dist: PhaseDistribution, grid_points: int = DEFAULT_ENTROPY_GRID) -> float:
-    """Effective support length exp(H(Theta)), in (0, 2*pi]."""
+def ensemble_length(dist: PhaseDistribution, grid_points: int | None = None) -> float:
+    """Effective support length exp(H(Theta)), in (0, 2*pi]; ``grid_points``
+    as in `differential_entropy`."""
     return math.exp(differential_entropy(dist, grid_points))

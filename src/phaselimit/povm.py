@@ -13,7 +13,12 @@ M_j * conj(c) c^T.  `_coefficients` computes all of them at once in
 O(n_outcomes * dim^2), and everything phase-dependent is read from them:
 the moments of the error distribution averaged uniformly over the phase
 (closed form, never numerical integration) and the probabilities at any set
-of phases.
+of phases.  This is the package's one moment formula: the covariantization
+lemma, which gives the same moments from the seed of a covariant
+measurement, is checked against it by a dense oracle in the tests
+(tests/conftest.py), not computed here.  A validated POM keeps the
+averaged density at or above J * PSD_EIG_FLOOR / 2pi for J outcomes (see
+`average_distribution`), so no density grid is built to check it.
 
 A POM whose outcomes are all rank 1, M_j = u_j u_j^H, can be held by the
 vectors u_j alone ("vector" outcomes in the JSON form).  Then a_{j,k} is the
@@ -236,14 +241,10 @@ def _coefficients(povm: EstimatePOM, state: ProbeState) -> np.ndarray:
     c = state.amplitudes
     if povm.vectors is not None:
         return _autocorrelation(povm.vectors * np.conj(c))
-    return _diagonal_sums(povm.elements, c)
-
-
-def _diagonal_sums(elements: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a_{j,k} of `_coefficients` for dense elements, one diagonal of all
-    elements per k, so no (n_outcomes, dim, dim) temporary is formed."""
-    d = c.size
-    a = np.empty((elements.shape[0], 2 * d - 1), dtype=complex)
+    # one diagonal of all elements per k, so no (n_outcomes, dim, dim)
+    # temporary is formed
+    d, elements = c.size, povm.elements
+    a = np.empty((povm.n_outcomes, 2 * d - 1), dtype=complex)
     for k in range(-(d - 1), d):
         # numpy's offset is m - n; entry i of the diagonal is (n, m) =
         # (i + k, i) for k >= 0 and (i, i - k) for k < 0.
@@ -261,48 +262,22 @@ def average_distribution(povm: EstimatePOM, state: ProbeState) -> PhaseDistribut
 
     Averaging e^{ik(est_j - phi)} p(j|phi) over a uniform phase keeps the
     e^{ik phi} term of p(j|phi): m_k = sum_j e^{ik est_j} a_{j,k}.
+
+    The density-grid check of PhaseDistribution is skipped, because a
+    validated POM bounds the density from below.  The density is
+    (1/2pi) sum_j p(j|est_j - theta), and each p(j|phi) = c_phi^H M_j c_phi
+    is at least the least eigenvalue of M_j: above PSD_EIG_FLOOR for a
+    validated dense element, and >= 0 exactly for a vector outcome.  So the
+    density is at least J * PSD_EIG_FLOOR / 2pi for J outcomes.  Setting m_0
+    to 1 adds (1 - c^H (sum_j M_j) c)/2pi to it, a completeness rounding of
+    at most dim * COMPLETENESS_TOL / 2pi in size.
     """
     a = _coefficients(povm, state)
     d = state.dim
     phases = np.exp(1j * np.outer(povm.estimates, np.arange(d)))  # (j, k)
     m = np.einsum("jk,jk->k", phases, a[:, d - 1 :])
     m[0] = 1.0
-    return PhaseDistribution(m)
-
-
-def covariant_seed(povm: EstimatePOM) -> np.ndarray:
-    """Seed of the covariant measurement generating the same average
-    distribution: (1/2pi) sum_j e^{iN est_j} M_j e^{-iN est_j}.
-
-    The covariant family e^{-iN theta} seed e^{iN theta} d(theta) is complete
-    exactly when diag(2*pi*seed) is the all-ones vector; that is verified.
-    """
-    n = np.arange(povm.dim)
-    if povm.vectors is not None:
-        # e^{iN est_j} u_j as rows w_j; the seed is sum_j w_j w_j^H
-        w = povm.vectors * np.exp(1j * np.outer(povm.estimates, n))
-        seed = w.T @ w.conj()
-    else:
-        seed = np.zeros((povm.dim, povm.dim), dtype=complex)
-        for est, m in zip(povm.estimates, povm.elements):
-            d = np.exp(1j * n * est)
-            seed += d[:, None] * m * np.conj(d)[None, :]
-    seed /= TWO_PI
-    if np.max(np.abs(TWO_PI * np.diagonal(seed) - 1.0)) > COMPLETENESS_TOL:
-        raise ValidationError("covariant seed fails the completeness identity")
-    return seed
-
-
-def covariant_average_distribution(seed: np.ndarray, state: ProbeState) -> PhaseDistribution:
-    """Moments of the average distribution generated by a covariant seed:
-    m_k = 2*pi sum_n seed_{n+k,n} conj(c_{n+k}) c_n."""
-    seed = np.asarray(seed, dtype=complex)
-    d = state.dim
-    if seed.shape != (d, d):
-        raise ValidationError("seed and state dimensions differ")
-    m = _diagonal_sums(TWO_PI * seed[None], state.amplitudes)[0, d - 1 :]
-    m[0] = 1.0
-    return PhaseDistribution(m)
+    return PhaseDistribution._nonnegative(m)
 
 
 def _variances(estimates: np.ndarray, phis: np.ndarray, probs: np.ndarray) -> np.ndarray:

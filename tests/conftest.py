@@ -42,6 +42,37 @@ def random_povm(rng, dim, n_outcomes) -> EstimatePOM:
     return EstimatePOM(estimates, elements)
 
 
+def covariant_seed(povm) -> np.ndarray:
+    """Oracle for the covariantization lemma, from the dense elements: the
+    seed (1/2pi) sum_j e^{iN est_j} M_j e^{-iN est_j} of the covariant
+    measurement e^{-iN theta} seed e^{iN theta} d(theta), whose phase-averaged
+    error distribution equals that of ``povm``.  The covariant family is
+    complete exactly when diag(2*pi*seed) is the all-ones vector."""
+    phases = np.exp(1j * np.outer(povm.estimates, np.arange(povm.dim)))  # (j, n)
+    return np.einsum("jn,jnm,jm->nm", phases, povm.elements, phases.conj()) / (2 * math.pi)
+
+
+def covariant_moments(seed, state) -> np.ndarray:
+    """Moments m_k = 2*pi sum_n seed_{n+k,n} conj(c_{n+k}) c_n, k = 0..dim-1,
+    of the average distribution a covariant seed generates on ``state``."""
+    c = state.amplitudes
+    weighted = 2 * math.pi * seed * np.outer(np.conj(c), c)
+    return np.array([np.trace(weighted, offset=-k) for k in range(state.dim)])
+
+
+def floor_povm(dim, delta) -> EstimatePOM:
+    """Dense POM of ``dim`` outcomes, each with least eigenvalue -delta:
+    M_j = (1 + delta*(dim-1)) P_j - delta (I - P_j), with P_j the projector
+    onto e^{-iN est_j} of the uniform state and est_j = 2*pi*j/dim.  On the
+    uniform state its averaged density is exactly -dim*delta/2pi at the
+    phases 2*pi*m/dim, m != 0, where every p(j|est_j - theta) is -delta."""
+    estimates = 2 * math.pi * np.arange(dim) / dim
+    u = np.exp(-1j * np.outer(estimates, np.arange(dim))) / math.sqrt(dim)
+    proj = u[:, :, None] * u.conj()[:, None, :]
+    elements = (1 + delta * dim) * proj - delta * np.eye(dim)
+    return EstimatePOM(estimates, elements)
+
+
 def number_povm(dim, estimates=None) -> EstimatePOM:
     """Projective number measurement with estimate labels (default 0)."""
     if estimates is None:

@@ -9,7 +9,14 @@ import pytest
 from scipy.special import airy
 
 import phaselimit as pl
-from conftest import msd_quadrature, number_povm, random_povm, random_state
+from conftest import (
+    covariant_moments,
+    covariant_seed,
+    msd_quadrature,
+    number_povm,
+    random_povm,
+    random_state,
+)
 
 KC = 1.376083  # floor used by the curve criteria (k_C to 6 digits)
 
@@ -146,7 +153,7 @@ def test_criterion_6_covariantization(corpus):
     ok = True
     for povm, state in corpus:
         direct = pl.average_distribution(povm, state).moments
-        via_seed = pl.covariant_average_distribution(pl.covariant_seed(povm), state).moments
+        via_seed = covariant_moments(covariant_seed(povm), state)
         if np.max(np.abs(direct - via_seed)) > 1e-12:
             ok = False
             break

@@ -47,6 +47,16 @@ class TestBounds:
         data = json.loads(out)
         assert data["bound_report"]["all_satisfied"]
 
+    def test_dim_above_4096(self, capsys, tmp_path):
+        # the default entropy grid grows with the state's dimension
+        amps = np.zeros(5001)
+        amps[[0, 5000]] = 0.6, 0.8
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(make_state(amps).to_json()))
+        code, out, err = run_cli(capsys, "bounds", "--state", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bound_report"]["all_satisfied"]
+
     def test_malformed_state_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--state", "not json")
         assert code == 1
@@ -139,6 +149,9 @@ class TestBadInput:
             ("bounds", "--state", "deep.json"),
             ("bounds", "--state", "[" * 200000),
             ("simulate", "--state", "[[1,0]]", "--povm", "deep.json"),
+            # means whose default dimension 8*mean overflows a float
+            ("optimize", "--mean", "1e308"),
+            ("curve", "--kind", "surrogate", "--means", "1,1e308"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -165,6 +178,16 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [(("optimize", "--mean", "1e308"), 4096),
+         (("curve", "--kind", "surrogate", "--means", "1,1e308"), 1048576)],
+    )
+    def test_huge_mean_infeasible_at_cap(self, capsys, argv, cap):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == f"error: target mean 1e+308 infeasible at dim {cap}\n"
 
     def test_threads_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("PHASELIMIT_THREADS", "abc")

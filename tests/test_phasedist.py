@@ -232,6 +232,28 @@ class TestDifferentialEntropy:
         with pytest.raises(ValidationError, match="at most"):
             differential_entropy(UNIFORM, 2**50)
 
+    @pytest.mark.parametrize("top, grid", [(4095, 8192), (4097, 16384), (5000, 16384)])
+    def test_default_grid_exceeds_twice_kmax(self, monkeypatch, top, grid):
+        # amplitudes 0.6 and 0.8 at numbers 0 and top: the density is
+        # (1 + 0.96 cos(top*theta))/2pi, whose entropy is the dim-2 state's,
+        # on the smallest power-of-two grid >= DEFAULT_ENTROPY_GRID above
+        # 2*kmax (the tops have few factors of 2, so no low harmonic of
+        # p ln p aliases onto the grid); a given grid below it is refused
+        amps = np.zeros(top + 1)
+        amps[[0, top]] = 0.6, 0.8
+        dist = canonical_distribution(make_state(amps))
+        expected = differential_entropy(canonical_distribution(make_state([0.6, 0.8])))
+        grids = []
+        real = phasedist._entropy_on_grid
+        monkeypatch.setattr(
+            phasedist, "_entropy_on_grid", lambda d, points: grids.append(points) or real(d, points)
+        )
+        assert differential_entropy(dist) == pytest.approx(expected, abs=1e-12)
+        assert grids == [grid, 2 * grid]
+        if grid > phasedist.DEFAULT_ENTROPY_GRID:
+            with pytest.raises(ValidationError, match="twice kmax"):
+                differential_entropy(dist, phasedist.DEFAULT_ENTROPY_GRID)
+
 
 class TestEnsembleLength:
     def test_uniform(self):

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phaselimit import phasedist
 from phaselimit import povm as povm_module
 from phaselimit import (
     EstimatePOM,
+    PhaseDistribution,
     ValidationError,
     average_distribution,
     canonical_distribution,
     conditional_probability,
-    covariant_average_distribution,
-    covariant_seed,
     heisenberg_bound,
     kphase_construction,
     make_state,
@@ -21,7 +21,15 @@ from phaselimit import (
     per_phase_variance,
     wrap_angle,
 )
-from conftest import msd_quadrature, number_povm, random_povm, random_state
+from conftest import (
+    covariant_moments,
+    covariant_seed,
+    floor_povm,
+    msd_quadrature,
+    number_povm,
+    random_povm,
+    random_state,
+)
 
 
 def moments_by_phase_quadrature(povm, state, n_phi=2048):
@@ -274,6 +282,32 @@ class TestAverageDistribution:
         dist = average_distribution(povm, s)
         assert np.allclose(dist.moments, canonical_distribution(s).moments, atol=1e-12)
 
+    def test_no_density_grid_built(self, rng, monkeypatch):
+        # a validated POM bounds the density from below, so no density grid
+        # is built to check it, for dense and for vector POMs
+        def no_grid(*args, **kwargs):
+            raise AssertionError("density grid built")
+
+        monkeypatch.setattr(phasedist, "density_grid", no_grid)
+        dense, vector = random_povm(rng, 6, 4), kphase_construction(8)[1]
+        assert dense.vectors is None and vector.vectors is not None
+        for povm in (dense, vector):
+            dist = average_distribution(povm, random_state(rng, povm.dim))
+            assert dist.kmax == povm.dim - 1
+
+    def test_psd_floor_pom_accepted(self):
+        # 128 outcomes at least eigenvalue -0.9e-10 pass validation; their
+        # average density on the uniform state reaches -128*0.9e-10/2pi,
+        # below DENSITY_FLOOR, which the density check refuses for the same
+        # moments given from outside the package
+        povm = floor_povm(128, 0.9e-10)
+        dist = average_distribution(povm, make_state(np.ones(128)))
+        assert phasedist.density_grid(dist, 4096).min() == pytest.approx(
+            -128 * 0.9e-10 / (2 * math.pi), rel=1e-3
+        )
+        with pytest.raises(ValidationError, match="dips to"):
+            PhaseDistribution(dist.moments)
+
 
 class TestCovariantSeed:
     def test_completeness_diagonal(self, rng):
@@ -297,8 +331,8 @@ class TestCovariantSeed:
             s = random_state(rng, 4)
             povm = random_povm(rng, 4, 6)
             direct = average_distribution(povm, s)
-            via_seed = covariant_average_distribution(covariant_seed(povm), s)
-            assert np.allclose(direct.moments, via_seed.moments, atol=1e-12)
+            via_seed = covariant_moments(covariant_seed(povm), s)
+            assert np.allclose(direct.moments, via_seed, atol=1e-12)
 
 
 class TestPerPhaseVariance:
