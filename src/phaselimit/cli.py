@@ -8,9 +8,12 @@ Commands:
   simulate      average-error statistics of a measurement on a state
   discriminate  K-phase perfect-discrimination construction
 
-Exit status: 0 success, 1 validation error, 2 numerical non-convergence.
-CSV column order is fixed as shown in --help for each command.  JSON output
-carries a top-level "schema": "phaselimit/1".
+Formats (--format, default first): constants and bounds text|json, curve
+csv|json, simulate and discriminate json|text, optimize json.
+Exit status: 0 success (--help too), 1 validation or usage error, 2
+numerical non-convergence; an error is one line on stderr.  CSV column
+order is fixed as shown in --help for each command.  JSON output carries a
+top-level "schema": "phaselimit/1".
 """
 
 from __future__ import annotations
@@ -100,13 +103,10 @@ def _load_povm(path: str) -> povm.EstimatePOM:
 
 
 def _cmd_constants(args):
-    za = bounds.airy_first_zero()
+    values = {"k_A": bounds.k_A(), "k_C": bounds.k_C(), "z_A": bounds.airy_first_zero()}
     if args.format == "json":
-        return _json_text({"k_A": bounds.k_A(), "k_C": bounds.k_C(), "z_A": za})
-    return "\n".join(
-        f"{name} = {value:.12f}"
-        for name, value in [("k_A", bounds.k_A()), ("k_C", bounds.k_C()), ("z_A", za)]
-    )
+        return _json_text(values)
+    return "\n".join(f"{name} = {value:.12f}" for name, value in values.items())
 
 
 def _cmd_bounds(args):
@@ -118,7 +118,7 @@ def _cmd_bounds(args):
 
 def _cmd_optimize(args):
     result = optimizer.optimize_at_mean(
-        _kind(args.kind), args.mean, dim=args.dim, mean_tol=args.mean_tol
+        optimizer.CostKind(args.kind), args.mean, dim=args.dim, mean_tol=args.mean_tol
     )
     return _json_text({"optimization": result.to_json()})
 
@@ -137,7 +137,8 @@ def _cmd_curve(args):
         means = [float(x) for x in args.means.split(",")]
     except ValueError as exc:
         raise ValidationError(f"--means must be comma-separated numbers: {exc}") from exc
-    rows = optimizer.figure2_curve(_kind(args.kind), means, dim=args.dim, mean_tol=args.mean_tol)
+    kind = optimizer.CostKind(args.kind)
+    rows = optimizer.figure2_curve(kind, means, dim=args.dim, mean_tol=args.mean_tol)
     if args.format == "json":
         return _json_text({"kind": args.kind, "columns": CURVE_COLUMNS, "rows": rows})
     return _curve_csv(rows)
@@ -186,28 +187,29 @@ def _cmd_discriminate(args):
     return "\n".join(lines)
 
 
-def _kind(name: str) -> optimizer.CostKind:
-    return optimizer.CostKind.EXACT_SQUARE if name == "exact" else optimizer.CostKind.SURROGATE
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 with one line; argparse's 2 means non-convergence here
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phaselimit", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
-        p.add_argument("--format", choices=["csv", "json", "text"], default=fmt_default)
+    def common(p, formats=("json",)):  # the formats the command writes, default first
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output atomically to PATH")
 
     p = sub.add_parser("constants", help="print k_A, k_C, z_A to 12 digits")
-    common(p, "text")
+    common(p, ("text", "json"))
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("bounds", help="inequality-chain report for a state")
     p.add_argument("--state", required=True, help="JSON file or inline JSON [[re,im],...]")
-    common(p, "text")
+    common(p, ("text", "json"))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("optimize", help="minimize cost at a target mean")
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--means", required=True, help="comma-separated ascending means")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--mean-tol", type=float, default=1e-8)
-    common(p, "csv")
+    common(p, ("csv", "json"))
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("simulate", help="average-error statistics of a POM on a state")
@@ -237,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="entropy quadrature points, a power of two above 2*(dim-1); "
         f"default: the smallest such at or above {phasedist.DEFAULT_ENTROPY_GRID}",
     )
-    common(p)
+    common(p, ("json", "text"))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("discriminate", help="K-phase perfect discrimination demo")
     p.add_argument("--K", type=int, required=True)
-    common(p)
+    common(p, ("json", "text"))
     p.set_defaults(func=_cmd_discriminate)
 
     return parser
@@ -257,8 +259,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _emit(args.func(args), args.out)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

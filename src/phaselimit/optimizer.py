@@ -11,24 +11,17 @@ hits the target.  The unconstrained (lambda=0) solve is made only when the
 search needs it: when a multiplier lands below the target before any has
 landed above it, to tell an infeasible target from a short step.  Sweeping
 the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
-B(lambda) is a dense Toeplitz matrix for the exact cost.  For the
-surrogate it is pentadiagonal and is held as its lower band (SymmetricBand,
-LAPACK storage, 3 x dim).  One eigensolver serves both kinds at every
-dimension: inverse iteration on Cholesky factors of B(lambda) - sigma*I
-(dense or banded), where each factorization that succeeds certifies sigma
-below the spectrum.  Within one dimension each multiplier's eigensolve
-starts from the previous multiplier's eigenvector, which puts the first
-shift just below the new smallest eigenvalue.
-Along a curve (figure2_curve) each point continues from its predecessor,
-as in predictor-corrector continuation: if the target's log(mean+1) lies
-at most log 2 above the predecessor's (a step h) and the predecessor's
-final secant slope s = d log(mean+1)/d log(lambda) lies in [-1, -0.1],
-the search starts at lambda_prev*exp(h/s), seeds its secant with s and
-starts its first eigensolve from the predecessor's eigenvector.  Any other
-point, the first of a curve and any doubled dimension start cold, from
-the asymptote.  A continued point meets every certificate of a cold one,
-but its multiplier search takes a different path, so its row can differ
-from a cold optimize_at_mean's within the mean tolerance.
+B(lambda) is built once per multiplier, with no cache: for the exact cost a
+dense Toeplitz matrix copied from its 2*dim-1 values, for the pentadiagonal
+surrogate its lower band (SymmetricBand, LAPACK storage, 3 x dim).  One
+eigensolver serves both kinds at every dimension: inverse iteration on
+Cholesky factors of B(lambda) - sigma*I (dense or banded), where each
+factorization that succeeds certifies sigma below the spectrum.  Within
+one dimension each multiplier's eigensolve starts from the previous
+multiplier's eigenvector, which puts the first shift just below the new
+smallest eigenvalue.
+Along a curve (figure2_curve) a point close above its predecessor continues
+from it (predictor-corrector continuation; see _continuation).
 scipy (BLAS and LAPACK) is imported by the first eigensolve, not with the
 package, so commands that solve nothing start without it.
 """
@@ -36,7 +29,6 @@ package, so commands that solve nothing start without it.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,14 +106,7 @@ def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
         raise ValidationError("dim must be >= 1")
     if kind is CostKind.SURROGATE:
         return _surrogate_band(dim, 0.0).toarray()
-    k = np.arange(dim)
-    col = np.empty(dim)
-    col[0] = math.pi**2 / 3
-    if dim > 1:
-        col[1:] = 2.0 * (-1.0) ** k[1:] / k[1:] ** 2
-    # row i is vals[dim-1-i : 2*dim-1-i], since vals[dim-1+m] = col[|m|]
-    vals = np.concatenate((col[::-1], col[1:]))
-    return np.lib.stride_tricks.sliding_window_view(vals, dim)[::-1].copy()
+    return _exact_matrix(dim, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +155,19 @@ def _surrogate_band(dim: int, lam: float) -> SymmetricBand:
     return SymmetricBand(band)
 
 
-@functools.lru_cache(maxsize=1)
-def _base_matrix(kind: CostKind, dim: int) -> np.ndarray:
-    """cost_matrix(kind, dim), built once for all the multipliers tried at
-    one dimension.  Read-only, because every caller shares the array."""
-    a = cost_matrix(kind, dim)
-    a.flags.writeable = False
-    return a
+def _exact_matrix(dim: int, lam: float) -> np.ndarray:
+    """Exact cost matrix plus lam*diag(0..dim-1), copied once from a strided
+    view of its 2*dim-1 Toeplitz values."""
+    m = np.arange(1.0 - dim, dim)  # vals[i] is the entry at offset m[i]
+    m[dim - 1] = 1.0  # keeps the division finite; the diagonal value is set below
+    vals = 2.0 / (m * m)
+    odd = vals[dim % 2 :: 2]  # the odd offsets
+    np.negative(odd, out=odd)
+    vals[dim - 1] = math.pi**2 / 3
+    # row i is vals[dim-1-i : 2*dim-1-i]: the view steps back one 8-byte value per row
+    b = np.ndarray((dim, dim), buffer=vals, offset=(dim - 1) * 8, strides=(-8, 8)).copy()
+    b.reshape(-1)[dim + 1 :: dim + 1] += lam * m[dim:]  # n = 1..dim-1; n = 0 adds 0
+    return b
 
 
 def min_eigenpair(matrix, start=None):
@@ -368,11 +359,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, start=None):
         raise ValidationError("lambda must be nonnegative")
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    if kind is CostKind.EXACT_SQUARE:
-        b = _base_matrix(kind, dim).copy()
-        b[np.diag_indices(dim)] += lam * np.arange(dim)
-    else:
-        b = _surrogate_band(dim, lam)
+    b = _exact_matrix(dim, lam) if kind is CostKind.EXACT_SQUARE else _surrogate_band(dim, lam)
     mu, v, residual = min_eigenpair(b, start=start)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:
@@ -437,14 +424,8 @@ def optimize_at_mean(
         raise ValidationError("target mean must be finite and nonnegative")
     if not math.isfinite(mean_tol) or mean_tol <= 0:
         raise ValidationError("mean_tol must be finite and positive")
-    cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
     auto_dim = dim is None
-    if auto_dim:
-        dim = min(default_dim(target_mean), cap)
-    elif dim > cap:
-        raise ValidationError(f"dim {dim} exceeds the {kind.value} cap {cap}")
-    if target_mean > dim - 1:
-        raise ValidationError(f"target mean {target_mean} infeasible at dim {dim}")
+    dim, cap = _start_dim(kind, target_mean, dim)
     if target_mean == 0:
         return _vacuum_result(kind, dim)
 
@@ -465,6 +446,19 @@ def optimize_at_mean(
     if _curve is not None:
         _curve.result, _curve.slope = result, slope
     return result
+
+
+def _start_dim(kind, target_mean, dim):
+    """(first dimension, cap) of a search: ``dim`` within the kind's cap, or
+    default_dim clipped to it if None; refuses a target above dim - 1."""
+    cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
+    if dim is None:
+        dim = min(default_dim(target_mean), cap)
+    elif dim > cap:
+        raise ValidationError(f"dim {dim} exceeds the {kind.value} cap {cap}")
+    if target_mean > dim - 1:
+        raise ValidationError(f"target mean {target_mean} infeasible at dim {dim}")
+    return dim, cap
 
 
 def _continuation(curve, target_mean, dim):
@@ -604,13 +598,16 @@ def figure2_curve(
     CONTINUATION_SLOPES, and otherwise is solved cold.  A continued row
     meets the same mean tolerance, tail and residual certificates, but may
     differ from a cold optimize_at_mean's row within the mean tolerance, and
-    its ``iterations`` counts its own, usually fewer, eigensolves.
+    its ``iterations`` counts its own, usually fewer, eigensolves.  An
+    infeasible mean is refused before any point is solved.
     """
     means = [float(m) for m in means]
     if not all(math.isfinite(m) and m > 0 for m in means) or any(
         b <= a for a, b in zip(means, means[1:])
     ):
         raise ValidationError("means must be finite, positive and strictly ascending")
+    for mean in means:
+        _start_dim(kind, mean, dim)
 
     curve = _CurvePoint()
 

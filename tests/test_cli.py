@@ -152,6 +152,13 @@ class TestBadInput:
             # means whose default dimension 8*mean overflows a float
             ("optimize", "--mean", "1e308"),
             ("curve", "--kind", "surrogate", "--means", "1,1e308"),
+            # usage errors: a value the parser refuses, a format the
+            # command does not write, a missing required option
+            ("optimize", "--mean", "x"),
+            ("optimize", "--mean", "1", "--format", "csv"),
+            ("constants", "--format", "csv"),
+            ("curve", "--means", "1", "--format", "text"),
+            ("optimize",),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -188,6 +195,12 @@ class TestBadInput:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err == f"error: target mean 1e+308 infeasible at dim {cap}\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["optimize", "--help"])
+        assert exited.value.code == 0
+        assert "--mean" in capsys.readouterr().out
 
     def test_threads_variable_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("PHASELIMIT_THREADS", "abc")
@@ -294,8 +307,8 @@ class TestDiscriminate:
         assert code == 1
 
 
-# Edge values for every numeric flag: each is refused, by argparse (exit 2)
-# or by validation (exit 1).
+# Edge values for every numeric flag: each is refused with exit 1, by the
+# parser or by validation.
 EDGES = ["nan", "inf", "-inf", "-1", "0", str(2**50), "x", ""]
 # "@name" is a file in the fuzz directory; "missing.json" is never written.
 BAD_FILES = ["@missing.json", "@empty.json", "@empty-object.json", "@null.json"]
@@ -331,8 +344,16 @@ FUZZ_OPTIONS = {
     ],
     "discriminate": [("--K", ["1", "4"], EDGES)],
 }
+# The formats each command writes; the others are refused.
+FORMATS = {
+    "constants": ["text", "json"],
+    "bounds": ["text", "json"],
+    "optimize": ["json"],
+    "curve": ["csv", "json"],
+    "simulate": ["json", "text"],
+    "discriminate": ["json", "text"],
+}
 COMMON_OPTIONS = [
-    ("--format", ["csv", "json", "text"], ["x"]),
     ("--out", ["@out.txt"], ["@missing-dir/f", "@sub"]),
 ]
 
@@ -366,7 +387,10 @@ def fuzz_dir(tmp_path_factory):
 def fuzzed_argv(draw):
     command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
     argv = [command]
-    for flag, good, bad in FUZZ_OPTIONS[command] + COMMON_OPTIONS:
+    formats = FORMATS[command]
+    refused_formats = [f for f in ("csv", "json", "text", "x") if f not in formats]
+    options = FUZZ_OPTIONS[command] + [("--format", formats, refused_formats)] + COMMON_OPTIONS
+    for flag, good, bad in options:
         # each flag, a required one too, is left out or given a value to
         # refuse a sixth of the time each
         choice = draw(st.integers(0, 5))
@@ -381,19 +405,13 @@ def test_fuzzed_argv_exits_with_one_line(fuzz_dir, argv):
     argv = [os.path.join(fuzz_dir, a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses the command line
-            code = exc.code
+        code = main(argv)
     err = err.getvalue()
-    assert "Traceback" not in err
     assert code in (0, 1, 2)
-    messages = [line for line in err.splitlines() if "error:" in line or "non-convergence:" in line]
     if code == 0:
         assert err == ""
         return
-    assert len(messages) == 1
-    if messages[0].startswith(("error: ", "non-convergence: ")):
-        # the package's own refusals are exactly one line on stderr
-        assert err == messages[0] + "\n"
-        assert out.getvalue() == ""
+    # every refusal, the parser's too, is exactly one line on stderr
+    assert err.startswith("error: " if code == 1 else "non-convergence: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert out.getvalue() == ""

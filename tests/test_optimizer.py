@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -367,13 +368,28 @@ class TestSolveAtMultiplier:
         means = [solve_at_multiplier(CostKind.EXACT_SQUARE, 32, l)[2] for l in lams]
         assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
 
-    def test_repeated_calls_at_one_dim_match_oracle(self):
-        # the cost matrix is shared between calls at one dim; a call must
+    @pytest.mark.parametrize("kind", list(CostKind), ids=lambda kind: kind.value)
+    def test_repeated_calls_at_one_dim_match_oracle(self, kind):
+        # B(lambda) is built afresh by each call at one dim; a call must
         # not see the multiplier of the previous one
         for lam in (2.0, 0.0, 0.5):
-            mu, _, _, _ = solve_at_multiplier(CostKind.SURROGATE, 12, lam)
-            b = cost_matrix(CostKind.SURROGATE, 12) + lam * np.diag(np.arange(12.0))
+            mu, _, _, _ = solve_at_multiplier(kind, 12, lam)
+            b = cost_matrix(kind, 12) + lam * np.diag(np.arange(12.0))
             assert mu == pytest.approx(np.linalg.eigvalsh(b)[0], abs=1e-12)
+
+    def test_exact_solve_leaves_no_matrix_resident(self):
+        # After a warm-up solve at another dim (scipy's import, the LAPACK
+        # wrappers), a dim-1200 exact solve leaves less than a tenth of its
+        # 8*dim^2-byte B(lambda) allocated once it returns.
+        dim = 1200
+        solve_at_multiplier(CostKind.EXACT_SQUARE, 8, 0.1)
+        tracemalloc.start()
+        try:
+            solve_at_multiplier(CostKind.EXACT_SQUARE, dim, 0.1)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 8 * dim**2 / 10
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):
@@ -843,6 +859,21 @@ class TestFigure2Curve:
             figure2_curve(CostKind.EXACT_SQUARE, [2, 1])
         with pytest.raises(ValidationError):
             figure2_curve(CostKind.EXACT_SQUARE, [-1, 2])
+
+    @pytest.mark.parametrize(
+        "means, dim, message",
+        [
+            ([1, 2, 5000], None, "target mean 5000.0 infeasible at dim 4096"),
+            ([1, 2, 50], 40, "target mean 50.0 infeasible at dim 40"),
+        ],
+        ids=["default-dim", "dim-40"],
+    )
+    def test_infeasible_mean_refused_before_any_solve(self, means, dim, message):
+        patcher, calls = spy_solves()
+        with patcher, pytest.raises(ValidationError) as refused:
+            figure2_curve(CostKind.EXACT_SQUARE, means, dim=dim)
+        assert str(refused.value) == message
+        assert calls == []
 
     def test_deterministic(self):
         a = figure2_curve(CostKind.SURROGATE, [1, 5])
