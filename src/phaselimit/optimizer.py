@@ -7,10 +7,11 @@ smallest eigenpair of B(lambda) = A + lambda*diag(0..dim-1) gives the
 unconstrained optimum of cost + lambda*mean, and lambda is found by a
 safeguarded secant on log(mean+1) against log(lambda), started from the
 large-mean asymptote lambda ~ 2 k_C^2/(mean+1)^3, until the achieved mean
-hits the target.  The unconstrained (lambda=0) solve is made only when the
-search needs it: when a multiplier lands below the target before any has
-landed above it, to tell an infeasible target from a short step.  Sweeping
-the target mean produces the minimum-product curve (mean+1)*sqrt(cost).
+hits the target.  The achieved mean is largest at lambda = 0, where it is
+(dim-1)/2 (see _start_dim): a target above that is refused before any
+solve, and one within the mean tolerance of it is the lambda = 0 solve.
+Sweeping the target mean produces the minimum-product curve
+(mean+1)*sqrt(cost).
 B(lambda) is built once per multiplier, with no cache: for the exact cost a
 dense Toeplitz matrix copied from its 2*dim-1 values, for the pentadiagonal
 surrogate its lower band (SymmetricBand, LAPACK storage, 3 x dim).  One
@@ -179,14 +180,16 @@ def min_eigenpair(matrix, start=None):
     dense, ``dpbtrf`` banded; A is scaled by a power of two if ||A||_inf is
     outside 2^-500..2^500).  A shift is used only once its factorization
     succeeds, which proves sigma below every eigenvalue.  The iteration runs
-    until the residual is at rounding level and the vector has stopped
-    turning; eigenvalues closer than 1e-9 ||A||_inf, which no certified
-    shift separates, stop at that residual with mu within 2e-9 ||A||_inf of
-    the smallest.  With no ``start`` it begins from a fixed pseudo-random
-    vector (from ``np.random.default_rng(0)``, so runs repeat) at sigma = 0,
-    or at -2 ||A||_inf if that factorization fails.  A ``start`` (such as
-    the eigenvector of a nearby matrix) puts the first shift at
-    rho - max(r, 1e-9 ||A||_inf), its Rayleigh quotient less its residual.  A start whose first shift fails
+    until the residual is at rounding level, 4 eps ||A||_inf, and the vector
+    has stopped turning or has stopped converging.  Later shifts come as
+    close below the Rayleigh quotient as the residual or that level, so
+    only eigenvalues closer than about that level stay unseparated, and mu
+    then lies within their cluster.  With no ``start`` it begins from a
+    fixed pseudo-random vector (from ``np.random.default_rng(0)``, so runs
+    repeat) at sigma = 0, or at -2 ||A||_inf if that factorization fails.
+    A ``start`` (such as the eigenvector of a nearby matrix) puts the first
+    shift at rho - max(r, 1e-9 ||A||_inf), its Rayleigh quotient less its
+    residual or the residual tolerance.  A start whose first shift fails
     lies nearer another eigenvector, and so does one whose result lies above
     a failed shift (a failed factorization at s proves an eigenvalue <= s):
     either is dropped for the fixed vector.  A start with no component
@@ -325,16 +328,11 @@ def _inverse_iteration(matrix, norm_est: float, start):
             r_new = float(blas.dnrm2(v / norm_w - delta * x))
             mu, v = shift + delta, x
             q, r = (r_new / r if r else 0.0), r_new  # q = 0: not yet known
-            # r/delta is the angle x turned from v.  A shift within 2*tau
-            # that contracts by less than half faces eigenvalues closer than
-            # tau, which no certified shift separates: r <= tau must do.
-            slow = q > 0.5
-            if r <= stop and (r <= ANGLE_TOL * delta or slow):
+            # r/delta is the angle x turned from v
+            if r <= stop and (r <= ANGLE_TOL * delta or q > 0.5):
                 break
-            if slow and r <= tau and delta <= 2.0 * tau:
-                break
-            if q > 0 and _refactor_pays(q, delta, r, max(r, tau), stop, cost):
-                s, solver, failed = _factor_below(matrix, mu, max(r, tau), shift)
+            if q > 0 and _refactor_pays(q, delta, r, max(r, stop), stop, cost):
+                s, solver, failed = _factor_below(matrix, mu, max(r, stop), shift)
                 ceiling = min(ceiling, failed)
                 if solver is not None:
                     shift, solve = s, solver
@@ -407,13 +405,13 @@ def optimize_at_mean(
     The multiplier is found by a secant in log(lambda), seeded from the
     asymptote lambda ~ 2 k_C^2/(mean+1)^3 and safeguarded by the bracket of
     multipliers tried so far, until the achieved mean is within
-    mean_tol*(1+target_mean) of the target.  The unconstrained (lambda=0)
-    solve runs only if a multiplier gives a mean below the target before
-    any gives one above it; ConvergenceError is raised if even lambda=0
-    falls short of the target, and its solution is the result if it meets
-    the target.  ``iterations`` counts every eigensolve.  If the optimal
-    state's tail mass shows the truncation is inadequate, the dimension is
-    doubled and the solve repeated, up to the per-path dimension cap.
+    mean_tol*(1+target_mean) of the target.  A target above the
+    unconstrained mean (dim-1)/2 by more than that tolerance raises
+    ValidationError before any eigensolve; one within it is answered by the
+    lambda = 0 solve alone.  ``iterations`` counts every eigensolve.  If
+    the optimal state's tail mass shows the truncation is inadequate, the
+    dimension is doubled and the solve repeated, up to the per-path
+    dimension cap.
     Each dimension's first eigensolve starts from the fixed pseudo-random
     vector of min_eigenpair, so the result is the same on every run.
     ``_curve`` is figure2_curve's own: the search at the first dimension
@@ -425,7 +423,7 @@ def optimize_at_mean(
     if not math.isfinite(mean_tol) or mean_tol <= 0:
         raise ValidationError("mean_tol must be finite and positive")
     auto_dim = dim is None
-    dim, cap = _start_dim(kind, target_mean, dim)
+    dim, cap = _start_dim(kind, target_mean, dim, mean_tol)
     if target_mean == 0:
         return _vacuum_result(kind, dim)
 
@@ -448,15 +446,22 @@ def optimize_at_mean(
     return result
 
 
-def _start_dim(kind, target_mean, dim):
-    """(first dimension, cap) of a search: ``dim`` within the kind's cap, or
-    default_dim clipped to it if None; refuses a target above dim - 1."""
+def _start_dim(kind, target_mean, dim, mean_tol):
+    """(first dimension, cap) of a search: ``dim`` (at least 1) within the
+    kind's cap, or default_dim clipped to it if None.  Refuses a target
+    above (dim-1)/2 by more than mean_tol*(1+target_mean): the mean falls
+    as lambda grows, and at lambda = 0 B is symmetric Toeplitz, so
+    centrosymmetric, and its simple lowest eigenvector is symmetric or skew
+    about the middle (Cantoni & Butler, Linear Algebra Appl. 13, 275
+    (1976)), which puts its mean at (dim-1)/2."""
     cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
     if dim is None:
         dim = min(default_dim(target_mean), cap)
+    elif dim < 1:
+        raise ValidationError("dim must be >= 1")
     elif dim > cap:
         raise ValidationError(f"dim {dim} exceeds the {kind.value} cap {cap}")
-    if target_mean > dim - 1:
+    if target_mean > (dim - 1) / 2 + mean_tol * (1.0 + target_mean):
         raise ValidationError(f"target mean {target_mean} infeasible at dim {dim}")
     return dim, cap
 
@@ -486,38 +491,33 @@ def _continuation(curve, target_mean, dim):
 
 def _solve_fixed_dim(kind, target_mean, dim, mean_tol, start=None):
     """Multiplier search at one dimension: the result and the search's final
-    secant slope (None if it ended at lambda = 0).  ``start`` is a
-    (vector, lambda, slope) from _continuation, or None to start from the
-    asymptote."""
+    secant slope (None at lambda = 0).  ``start`` is a (vector, lambda,
+    slope) from _continuation, or None to start from the asymptote.  A
+    target within the tolerance of the unconstrained mean (dim-1)/2 (see
+    _start_dim) is answered by the lambda = 0 solve."""
     tol = mean_tol * (1.0 + target_mean)
     iterations = 0
-
-    def solve(lam, start=None):
-        nonlocal iterations
-        iterations += 1
-        return solve_at_multiplier(kind, dim, lam, start=start)
-
     # Secant on y = log(mean+1) against x = log(lambda), started on the
     # large-mean asymptote (or continued from a neighbouring point) and kept
     # inside the bracket lo < lambda < hi of the multipliers tried so far
-    # (the mean is nonincreasing in lambda).
-    # The unconstrained (lambda=0) solve only tests feasibility, so it runs
-    # only when a multiplier has landed below the target with no multiplier
-    # above it yet; its point never enters the secant or the bracket, and
-    # each multiplier's eigensolve starts from the previous multiplier's
-    # eigenvector, never from the lambda=0 one.
+    # (the mean is nonincreasing in lambda).  Each multiplier's eigensolve
+    # starts from the previous multiplier's eigenvector.
     y_target = math.log1p(target_mean)
     lo, hi = 0.0, math.inf
-    if start is None:
+    if target_mean >= (dim - 1) / 2 - tol:
+        v, lam, slope = None, 0.0, None
+    elif start is None:
         lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
         slope = ASYMPTOTIC_SLOPE
         v = None
     else:
         v, lam, slope = start
     last = None
-    feasible = False
     while True:
-        mu, v, mean, residual = solve(lam, start=v)
+        mu, v, mean, residual = solve_at_multiplier(kind, dim, lam, start=v)
+        iterations += 1
+        if lam == 0.0:
+            break
         x, y = math.log(lam), math.log1p(mean)
         if last is not None and x != last[0]:
             secant = (y - last[1]) / (x - last[0])
@@ -526,22 +526,8 @@ def _solve_fixed_dim(kind, target_mean, dim, mean_tol, start=None):
             break
         if mean > target_mean:
             lo = lam
-            feasible = True
         else:
             hi = lam
-            if not feasible:
-                unconstrained = solve(0.0)
-                if unconstrained[2] < target_mean - tol:
-                    raise ConvergenceError(
-                        f"unconstrained mean {unconstrained[2]:.6g} below target "
-                        f"{target_mean:.6g}; increase dim"
-                    )
-                if abs(unconstrained[2] - target_mean) <= tol:
-                    lam = 0.0
-                    mu, v, mean, residual = unconstrained
-                    slope = None
-                    break
-                feasible = True
         if iterations >= MAX_MULTIPLIER_STEPS:
             raise ConvergenceError(
                 f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
@@ -607,7 +593,7 @@ def figure2_curve(
     ):
         raise ValidationError("means must be finite, positive and strictly ascending")
     for mean in means:
-        _start_dim(kind, mean, dim)
+        _start_dim(kind, mean, dim, mean_tol)
 
     curve = _CurvePoint()
 

@@ -159,6 +159,8 @@ class TestBadInput:
             ("constants", "--format", "csv"),
             ("curve", "--means", "1", "--format", "text"),
             ("optimize",),
+            # a dimension below 1
+            ("optimize", "--mean", "5", "--dim", "-3"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):

@@ -197,8 +197,9 @@ class TestMinEigenpair:
             min_eigenpair(_surrogate_band(300, 0.1), start=start)
 
     def test_cluster_narrower_than_tolerance(self):
-        # no certified shift separates eigenvalues 1e-10 apart; the residual
-        # tolerance still holds and the eigenvalue is within the gap
+        # eigenvalues 1e-10 apart, closer than the residual tolerance: shifts
+        # down to rounding distance below mu separate them, and the
+        # eigenvalue found is within the gap
         m = np.diag(np.concatenate([[1.0, 1.0 + 1e-10], np.linspace(2.0, 10.0, 298)]))
         mu, _, residual = min_eigenpair(m)
         assert 1.0 <= mu <= 1.0 + 1e-10
@@ -234,6 +235,14 @@ class TestMinEigenpair:
             start = v + 1e-3 * r / np.linalg.norm(r)
             means.append(solve_at_multiplier(CostKind.SURROGATE, dim, lam, start=start)[2])
         assert max(means) - min(means) <= 1e-10 * min(means)
+
+    def test_cold_solve_separates_gaps_below_the_residual_tolerance(self):
+        # at dim 240000 the lowest eigenvalue is about 4e-9, below the
+        # residual tolerance 1e-9*||A||, and the gaps above it about 1e-10:
+        # only shifts closer than that tolerance separate them
+        dim, lam = 240000, 2.0 * k_C() ** 2 / 30001.0**3
+        mean = solve_at_multiplier(CostKind.SURROGATE, dim, lam)[2]
+        assert abs(mean - 30000.0) <= 1.0
 
     def test_start_at_exact_eigenvector(self):
         # a start with zero residual
@@ -342,6 +351,24 @@ class TestSolveAtMultiplier:
         _, v, mean, _ = solve_at_multiplier(CostKind.EXACT_SQUARE, 16, 1e6)
         assert mean < 1e-4
         assert abs(v[0]) > 0.9999
+
+    # B(0) is symmetric Toeplitz, so centrosymmetric: its simple lowest
+    # eigenvector is symmetric or skew about the middle, with mean (dim-1)/2,
+    # the largest mean of any multiplier (optimizer._start_dim)
+    @pytest.mark.parametrize("dim", [*range(1, 65), 100, 255, 256, 600])
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_lambda_zero_mean_is_half_of_dim_minus_1(self, kind, dim):
+        mean = solve_at_multiplier(kind, dim, 0.0)[2]
+        assert abs(mean - (dim - 1) / 2) <= 1e-9 * (1 + dim)
+        a = cost_matrix(kind, dim)
+        if dim > 1:
+            low = np.linalg.eigvalsh(a)[:2]
+            assert low[1] - low[0] > 1e-9 * np.abs(a).sum(axis=1).max()
+
+    def test_lambda_zero_mean_at_large_dim(self):
+        dim = 32000
+        mean = solve_at_multiplier(CostKind.SURROGATE, dim, 0.0)[2]
+        assert abs(mean - (dim - 1) / 2) <= 1e-9 * (1 + dim)
 
     def test_lambda_zero_surrogate_dim2(self):
         mu, v, mean, _ = solve_at_multiplier(CostKind.SURROGATE, 2, 0.0)
@@ -527,8 +554,8 @@ def test_min_eigenpair_matches_eigvalsh(case):
         "top": vecs[:, -1],
     }[case["start"]]
     mu, v, residual = min_eigenpair(matrix, start=start)
-    # eigenvalues closer than tau = 1e-9*||A|| stop at residual tau, with the
-    # last certified shift below lambda_min and at most 2*tau below mu
+    # eigenvalues closer than the rounding level 4*eps*||A||, which no shift
+    # separates, stop at that residual with mu within the cluster
     assert abs(mu - vals[0]) <= 2e-9 * norm
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
     assert residual <= 1e-9 * norm
@@ -619,6 +646,13 @@ class TestOptimizeAtMean:
     def test_infeasible_target(self):
         with pytest.raises(ValidationError):
             optimize_at_mean(CostKind.EXACT_SQUARE, 5.0, dim=4)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_nonpositive_dim_refused(self, dim):
+        with pytest.raises(ValidationError, match="^dim must be >= 1$"):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 5.0, dim=dim)
+        with pytest.raises(ValidationError, match="^dim must be >= 1$"):
+            figure2_curve(CostKind.SURROGATE, [5.0], dim=dim)
 
     def test_explicit_dim_too_small_for_bracket(self):
         with pytest.raises((ValidationError, ConvergenceError)):
@@ -713,28 +747,42 @@ class TestMultiplierSearch:
         assert all(lam > 0 for _, lam in calls)
         assert res.iterations == sum(1 for dim, _ in calls if dim == res.dim)
 
-    def test_infeasible_target_found_after_first_multiplier(self):
+    def test_infeasible_target_refused_with_zero_solves(self):
+        # at dim 3 the unconstrained mean (dim-1)/2 is 1
         patcher, calls = spy_solves()
-        with patcher, pytest.raises(ConvergenceError, match="increase dim"):
+        with patcher, pytest.raises(ValidationError, match="target mean 1.9 infeasible at dim 3"):
             optimize_at_mean(CostKind.EXACT_SQUARE, 1.9, dim=3)
-        lams = [lam for _, lam in calls]
-        assert lams[0] > 0
-        assert lams[1:] == [0.0]
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", list(CostKind))
+    def test_feasibility_edge_is_the_mean_tolerance(self, kind):
+        # at dim 4 the unconstrained mean is 1.5: a target within the
+        # tolerance of it is the one lambda = 0 solve, one beyond it is
+        # refused before any solve
+        mean_tol = 1e-8
+        patcher, calls = spy_solves()
+        with patcher:
+            res = optimize_at_mean(kind, 1.5 + 1e-8, dim=4, mean_tol=mean_tol)
+            with pytest.raises(ValidationError, match="infeasible at dim 4"):
+                optimize_at_mean(kind, 1.5 + 3e-8, dim=4, mean_tol=mean_tol)
+        assert calls == [(4, 0.0)]
+        assert (res.lam, res.iterations) == (0.0, 1)
+        assert res.achieved_mean == pytest.approx(1.5, abs=1e-12)
 
     def test_feasible_undershoot_keeps_lambda_zero_out_of_the_search(self):
         # at dim 4 the unconstrained mean is 1.5 and the first multiplier
-        # gives about 1.12 < 1.2: lambda = 0 is solved once, right after it,
-        # and the next step is the asymptote-slope step from the first point
+        # gives about 1.12 < 1.2: lambda = 0 is never solved, and the next
+        # step is the asymptote-slope step from the first point
         target = 1.2
         patcher, calls = spy_solves()
         with patcher:
             res = optimize_at_mean(CostKind.EXACT_SQUARE, target, dim=4)
         lams = [lam for _, lam in calls]
         lam0 = 2 * k_C() ** 2 / (target + 1) ** 3
-        assert lams[:2] == [lam0, 0.0]
-        assert lams.count(0.0) == 1
+        assert lams[0] == lam0
+        assert 0.0 not in lams
         mean0 = solve_at_multiplier(CostKind.EXACT_SQUARE, 4, lam0)[2]
-        assert lams[2] == pytest.approx(lam0 * ((1 + mean0) / (1 + target)) ** 3, rel=1e-12)
+        assert lams[1] == pytest.approx(lam0 * ((1 + mean0) / (1 + target)) ** 3, rel=1e-12)
         assert res.iterations == len(calls)
         assert abs(res.achieved_mean - target) <= 1e-8 * (1 + target)
         _, ref_cost = reference_multiplier(CostKind.EXACT_SQUARE, target, 4)
@@ -745,7 +793,7 @@ class TestMultiplierSearch:
         res = optimize_at_mean(CostKind.EXACT_SQUARE, 1.5, dim=4)
         assert res.lam == 0.0
         assert res.cost == res.eigenvalue
-        assert res.iterations == 2
+        assert res.iterations == 1
 
     def test_step_cap_raises(self, monkeypatch):
         # the first multiplier lands above the target, outside the default
@@ -865,8 +913,9 @@ class TestFigure2Curve:
         [
             ([1, 2, 5000], None, "target mean 5000.0 infeasible at dim 4096"),
             ([1, 2, 50], 40, "target mean 50.0 infeasible at dim 40"),
+            ([1, 2, 5, 19, 25], 40, "target mean 25.0 infeasible at dim 40"),
         ],
-        ids=["default-dim", "dim-40"],
+        ids=["default-dim", "dim-40", "dim-40-above-half"],
     )
     def test_infeasible_mean_refused_before_any_solve(self, means, dim, message):
         patcher, calls = spy_solves()
