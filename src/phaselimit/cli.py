@@ -52,6 +52,10 @@ def _emit(text: str, out_path: str | None):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # give the file open(path, "w")'s mode, not mkstemp's 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

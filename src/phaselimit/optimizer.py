@@ -12,15 +12,17 @@ hits the target.  The achieved mean is largest at lambda = 0, where it is
 solve, and one within the mean tolerance of it is the lambda = 0 solve.
 Sweeping the target mean produces the minimum-product curve
 (mean+1)*sqrt(cost).
+The default dimension, default_dim(mean), is solved once: a tail mass below
+TAIL_TOL certifies it, and one the kind's cap would clip is refused.
 B(lambda) is built once per multiplier, with no cache: for the exact cost a
 dense Toeplitz matrix copied from its 2*dim-1 values, for the pentadiagonal
 surrogate its lower band (SymmetricBand, LAPACK storage, 3 x dim).  One
 eigensolver serves both kinds at every dimension: inverse iteration on
 Cholesky factors of B(lambda) - sigma*I (dense or banded), where each
-factorization that succeeds certifies sigma below the spectrum.  Within
-one dimension each multiplier's eigensolve starts from the previous
-multiplier's eigenvector, which puts the first shift just below the new
-smallest eigenvalue.
+factorization that succeeds certifies sigma below the spectrum.  Each
+multiplier's eigensolve starts from the previous multiplier's
+eigenvector, which puts the first shift just below the new smallest
+eigenvalue.
 Along a curve (figure2_curve) a point close above its predecessor continues
 from it (predictor-corrector continuation; see _continuation).
 scipy (BLAS and LAPACK) is imported by the first eigensolve, not with the
@@ -377,8 +379,8 @@ def _vacuum_result(kind: CostKind, dim: int) -> OptimizationResult:
 
 
 def default_dim(target_mean: float) -> int:
-    # 8 * mean is inf for means near the float maximum; callers clip the
-    # result to a dimension cap far below 2^62
+    # 8 * mean is inf for means near the float maximum; a result above the
+    # dimension caps, which are far below 2^62, is refused by _start_dim
     return max(64, math.ceil(min(8 * target_mean, 2.0**62)))
 
 
@@ -408,62 +410,55 @@ def optimize_at_mean(
     mean_tol*(1+target_mean) of the target.  A target above the
     unconstrained mean (dim-1)/2 by more than that tolerance raises
     ValidationError before any eigensolve; one within it is answered by the
-    lambda = 0 solve alone.  ``iterations`` counts every eigensolve.  If
-    the optimal state's tail mass shows the truncation is inadequate, the
-    dimension is doubled and the solve repeated, up to the per-path
-    dimension cap.
-    Each dimension's first eigensolve starts from the fixed pseudo-random
-    vector of min_eigenpair, so the result is the same on every run.
-    ``_curve`` is figure2_curve's own: the search at the first dimension
-    continues from its point when _continuation allows, and the call
-    leaves its own point there.
+    lambda = 0 solve alone.  ``iterations`` counts every eigensolve.  With
+    ``dim`` None the search runs at default_dim(target_mean), refused with
+    ValidationError if the kind's cap would clip it, and a tail mass not
+    below TAIL_TOL raises ConvergenceError; an explicit ``dim`` is a hard
+    truncation whose tail_mass the caller reads.  The first eigensolve
+    starts from min_eigenpair's fixed pseudo-random vector, so every run
+    gives the same result, unless ``_curve``, figure2_curve's own, lets
+    _continuation start from its point; the call leaves its own point there.
     """
     if not math.isfinite(target_mean) or target_mean < 0:
         raise ValidationError("target mean must be finite and nonnegative")
     if not math.isfinite(mean_tol) or mean_tol <= 0:
         raise ValidationError("mean_tol must be finite and positive")
     auto_dim = dim is None
-    dim, cap = _start_dim(kind, target_mean, dim, mean_tol)
+    dim = _start_dim(kind, target_mean, dim, mean_tol)
     if target_mean == 0:
         return _vacuum_result(kind, dim)
-
-    # The tail certificate drives dimension doubling only when the dimension
-    # came from the policy; an explicit dim is honored as a hard truncation.
-    # A doubled dimension starts cold.
     start = _continuation(_curve, target_mean, dim)
-    while True:
-        result, slope = _solve_fixed_dim(kind, target_mean, dim, mean_tol, start)
-        if not auto_dim or result.tail_mass < TAIL_TOL:
-            break
-        if dim >= cap:
-            raise ConvergenceError(
-                f"truncation cap {cap} reached with tail mass {result.tail_mass:.3e}"
-            )
-        dim = min(2 * dim, cap)
-        start = None
+    result, slope = _solve_fixed_dim(kind, target_mean, dim, mean_tol, start)
+    if auto_dim and not result.tail_mass < TAIL_TOL:
+        raise ConvergenceError(f"tail mass {result.tail_mass:.3e} >= {TAIL_TOL} at dim {dim}")
     if _curve is not None:
         _curve.result, _curve.slope = result, slope
     return result
 
 
 def _start_dim(kind, target_mean, dim, mean_tol):
-    """(first dimension, cap) of a search: ``dim`` (at least 1) within the
-    kind's cap, or default_dim clipped to it if None.  Refuses a target
-    above (dim-1)/2 by more than mean_tol*(1+target_mean): the mean falls
-    as lambda grows, and at lambda = 0 B is symmetric Toeplitz, so
-    centrosymmetric, and its simple lowest eigenvector is symmetric or skew
-    about the middle (Cantoni & Butler, Linear Algebra Appl. 13, 275
-    (1976)), which puts its mean at (dim-1)/2."""
+    """The dimension of a search: ``dim`` (at least 1) within the kind's
+    cap, or default_dim if None, which is refused if the cap would clip it.
+    Refuses a target above (dim-1)/2 by more than mean_tol*(1+target_mean):
+    the mean falls as lambda grows, and at lambda = 0 B is symmetric
+    Toeplitz, so centrosymmetric, and its simple lowest eigenvector is
+    symmetric or skew about the middle (Cantoni & Butler, Linear Algebra
+    Appl. 13, 275 (1976)), which puts its mean at (dim-1)/2."""
     cap = DENSE_DIM_LIMIT if kind is CostKind.EXACT_SQUARE else SPARSE_DIM_LIMIT
     if dim is None:
-        dim = min(default_dim(target_mean), cap)
+        dim = default_dim(target_mean)
+        if dim > cap:
+            raise ValidationError(
+                f"target mean {target_mean} needs more than the {kind.value} cap of "
+                f"{cap} dimensions (default dim 8*mean)"
+            )
     elif dim < 1:
         raise ValidationError("dim must be >= 1")
     elif dim > cap:
         raise ValidationError(f"dim {dim} exceeds the {kind.value} cap {cap}")
     if target_mean > (dim - 1) / 2 + mean_tol * (1.0 + target_mean):
         raise ValidationError(f"target mean {target_mean} infeasible at dim {dim}")
-    return dim, cap
+    return dim
 
 
 def _continuation(curve, target_mean, dim):
@@ -584,8 +579,8 @@ def figure2_curve(
     CONTINUATION_SLOPES, and otherwise is solved cold.  A continued row
     meets the same mean tolerance, tail and residual certificates, but may
     differ from a cold optimize_at_mean's row within the mean tolerance, and
-    its ``iterations`` counts its own, usually fewer, eigensolves.  An
-    infeasible mean is refused before any point is solved.
+    its ``iterations`` counts its own, usually fewer, eigensolves.  Every
+    mean is checked by _start_dim before any point is solved.
     """
     means = [float(m) for m in means]
     if not all(math.isfinite(m) and m > 0 for m in means) or any(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestCurve:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replaced"])
+    def test_out_file_mode_follows_umask(self, capsys, tmp_path, existing):
+        # the file gets the mode open(path, "w") would give, not mkstemp's 0600
+        path = tmp_path / "constants.txt"
+        if existing:
+            path.write_text("old\n")
+            path.chmod(0o644)
+        umask = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, "constants", "--out", str(path))
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert "k_C" in path.read_text()
 
     def test_defaults_do_not_leak_between_calls(self, capsys, monkeypatch):
         # the parser is built once per process: a call without --mean-tol/--dim
@@ -196,7 +213,11 @@ class TestBadInput:
     def test_huge_mean_infeasible_at_cap(self, capsys, argv, cap):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        assert err == f"error: target mean 1e+308 infeasible at dim {cap}\n"
+        kind = "surrogate" if "surrogate" in argv else "exact"
+        assert err == (
+            f"error: target mean 1e+308 needs more than the {kind} cap of {cap} dimensions"
+            " (default dim 8*mean)\n"
+        )
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -814,6 +814,82 @@ class TestMultiplierSearch:
             figure2_curve(CostKind.SURROGATE, [1.0, bad])
 
 
+class TestDefaultDim:
+    """The automatic dimension is default_dim(mean), solved once: the cap
+    refuses a default it would clip, and the tail mass certifies the rest."""
+
+    # The exact tail peaks near mean 2 at dim 64 (7.7e-12); the surrogate's
+    # stays below 1e-17.  This margin is why no mean needs a larger dimension.
+    @pytest.mark.parametrize(
+        "kind, means",
+        [
+            (CostKind.EXACT_SQUARE, [0.001, 0.1, 1, 1.5, 1.75, 2, 2.08, 2.25, 2.5, 4, 8, 16, 64]),
+            (CostKind.SURROGATE, [0.001, 1, 2, 8, 10, 100, 1e4]),
+        ],
+    )
+    def test_default_dim_tail_is_certified(self, kind, means):
+        for mean in means:
+            res = optimize_at_mean(kind, mean)
+            assert res.dim == optimizer.default_dim(mean)
+            assert res.tail_mass < optimizer.TAIL_TOL
+
+    def test_clipped_surrogate_default_refused(self):
+        # Clipped to dim 4096, mean 1400 gives product 1.379612 with a tail
+        # mass of 7.6e-11, against 1.376160 at the default dim 11200: the
+        # tail test passes the clipped answer, so the clip must be refused.
+        patcher, calls = spy_solves()
+        with patcher, mock.patch.object(optimizer, "SPARSE_DIM_LIMIT", 4096):
+            with pytest.raises(
+                ValidationError,
+                match=r"^target mean 1400.0 needs more than the surrogate cap of 4096 dimensions",
+            ):
+                optimize_at_mean(CostKind.SURROGATE, 1400.0)
+        assert calls == []
+        clipped = optimize_at_mean(CostKind.SURROGATE, 1400.0, dim=4096)
+        full = optimize_at_mean(CostKind.SURROGATE, 1400.0)
+        assert clipped.tail_mass < optimizer.TAIL_TOL
+        products = [(r.achieved_mean + 1) * math.sqrt(r.cost) for r in (clipped, full)]
+        assert products[0] == pytest.approx(1.379612, abs=1e-6)
+        assert products[1] == pytest.approx(1.376160, abs=1e-6)
+
+    def test_clipped_exact_default_refused_with_zero_solves(self):
+        message = (
+            "target mean 1400.0 needs more than the exact cap of 4096 dimensions "
+            "(default dim 8*mean)"
+        )
+        patcher, calls = spy_solves()
+        with patcher:
+            with pytest.raises(ValidationError) as refused:
+                optimize_at_mean(CostKind.EXACT_SQUARE, 1400.0)
+            assert str(refused.value) == message
+            with pytest.raises(ValidationError, match="^target mean 1000.0 needs more"):
+                figure2_curve(CostKind.EXACT_SQUARE, [500, 1000, 1400, 2000])
+        assert calls == []
+
+    def test_cap_edge(self):
+        # default dims 4096 and 4097 at exact means 512 and 512.125: the
+        # first is within the cap, the second is refused before any solve
+        assert optimizer.default_dim(512) == optimizer.DENSE_DIM_LIMIT
+        patcher, calls = spy_solves()
+        with patcher, pytest.raises(ValidationError, match="exact cap of 4096"):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 512.125)
+        assert calls == []
+
+    def test_uncertified_tail_raises_after_one_search(self):
+        # a mean tolerance of 1e300 accepts the first multiplier's state,
+        # whose tail at dim 64 is far above TAIL_TOL
+        patcher, calls = spy_solves()
+        with patcher, pytest.raises(ConvergenceError, match=">= 1e-10 at dim 64"):
+            optimize_at_mean(CostKind.EXACT_SQUARE, 5, mean_tol=1e300)
+        assert len(calls) == 1
+
+    def test_explicit_dim_is_a_hard_truncation(self):
+        # the same search at an explicit dim 64 returns its tail mass
+        res = optimize_at_mean(CostKind.EXACT_SQUARE, 5, dim=64, mean_tol=1e300)
+        assert (res.dim, res.iterations) == (64, 1)
+        assert res.tail_mass > optimizer.TAIL_TOL
+
+
 # Ascending means in (0, 10], at least 1e-3 apart: targets closer than the
 # mean tolerance could swap their achieved means.
 ASCENDING_MEANS = st.lists(st.integers(1, 10_000), min_size=2, max_size=5, unique=True).map(
@@ -911,7 +987,12 @@ class TestFigure2Curve:
     @pytest.mark.parametrize(
         "means, dim, message",
         [
-            ([1, 2, 5000], None, "target mean 5000.0 infeasible at dim 4096"),
+            (
+                [1, 2, 5000],
+                None,
+                "target mean 5000.0 needs more than the exact cap of 4096 dimensions "
+                "(default dim 8*mean)",
+            ),
             ([1, 2, 50], 40, "target mean 50.0 infeasible at dim 40"),
             ([1, 2, 5, 19, 25], 40, "target mean 25.0 infeasible at dim 40"),
         ],
