@@ -14,15 +14,16 @@ Sweeping the target mean produces the minimum-product curve
 (mean+1)*sqrt(cost).
 The default dimension, default_dim(mean), is solved once: a tail mass below
 TAIL_TOL certifies it, and one the kind's cap would clip is refused.
-B(lambda) is built once per multiplier, with no cache: for the exact cost a
-dense Toeplitz matrix copied from its 2*dim-1 values, for the pentadiagonal
-surrogate its lower band (SymmetricBand, LAPACK storage, 3 x dim).  One
-eigensolver serves both kinds at every dimension: inverse iteration on
-Cholesky factors of B(lambda) - sigma*I (dense or banded), where each
-factorization that succeeds certifies sigma below the spectrum.  Each
-multiplier's eigensolve starts from the previous multiplier's
-eigenvector, which puts the first shift just below the new smallest
-eigenvalue.
+B(lambda) is built once per multiplier, with no cache, as its lower band
+(SymmetricBand: LAPACK storage, Fortran order), whose row k holds the
+Toeplitz value at offset k: the exact cost's cosine series has every
+offset, so its band is full width (dim x dim), and the pentadiagonal
+surrogate's is 3 x dim.  One eigensolver serves both kinds at every
+dimension: inverse iteration on banded Cholesky factors (dpbtrf) of
+B(lambda) - sigma*I, where each factorization that succeeds certifies
+sigma below the spectrum.  Each multiplier's eigensolve starts from the
+previous multiplier's eigenvector, which puts the first shift just below
+the new smallest eigenvalue.
 Along a curve (figure2_curve) a point close above its predecessor continues
 from it (predictor-corrector continuation; see _continuation).
 scipy (BLAS and LAPACK) is imported by the first eigensolve, not with the
@@ -98,26 +99,25 @@ class OptimizationResult:
 
 def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
     """Symmetric matrix A with c^T A c = cost of the canonical distribution
-    of the real unit vector c.
+    of the real unit vector c, densified from the band the solver uses.
 
-    Exact square: dense Toeplitz from the cosine series of theta^2
-    (diagonal pi^2/3, offset-k entries 2(-1)^k/k^2).  Surrogate: the
-    pentadiagonal band SURROGATE_BAND (diagonal 5/2, first offset -4/3,
-    second offset 1/12), densified from the banded storage the solver uses.
+    Both kinds are symmetric Toeplitz, from the cosine series of the cost:
+    exact square, diagonal pi^2/3 and offset-k entries 2(-1)^k/k^2 (every
+    offset); surrogate, the pentadiagonal SURROGATE_BAND (diagonal 5/2,
+    first offset -4/3, second offset 1/12).
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    if kind is CostKind.SURROGATE:
-        return _surrogate_band(dim, 0.0).toarray()
-    return _exact_matrix(dim, 0.0)
+    return _cost_band(kind, dim, 0.0).toarray()
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricBand:
     """Symmetric banded matrix in LAPACK lower storage: ``band[k, j]`` is
     the entry (j+k, j), so row 0 is the diagonal and row k the k-th
-    subdiagonal, whose last k entries are unused.  ``shape`` is the shape
-    of the full matrix."""
+    subdiagonal, whose last k entries are unused (LAPACK and BLAS never
+    read them).  ``shape`` is the shape of the full matrix.  A band in
+    Fortran order reaches LAPACK without a copy."""
 
     band: np.ndarray
 
@@ -132,45 +132,37 @@ class SymmetricBand:
         return (self.band.shape[1], self.band.shape[1])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """B @ x for a vector x, one pass per stored diagonal."""
-        y = self.band[0] * x
-        for k in range(1, self.band.shape[0]):
-            sub = self.band[k, :-k]
-            y[k:] += sub * x[:-k]
-            y[:-k] += sub * x[k:]
-        return y
+        """B @ x for a vector x (BLAS ``dsbmv``)."""
+        from scipy.linalg import blas
+
+        return blas.dsbmv(self.band.shape[0] - 1, 1.0, self.band, x, lower=1)
 
     def toarray(self) -> np.ndarray:
-        a = np.diag(self.band[0])
-        for k in range(1, self.band.shape[0]):
-            off = np.diag(self.band[k, :-k], -k)
-            a += off + off.T
+        rows, n = self.band.shape
+        a = np.zeros((n, n))
+        flat = a.reshape(-1)  # entry (i, j) is flat[i*n + j]; a diagonal steps n+1
+        for k in range(rows):
+            stop = (n - k) * (n + 1)
+            flat[k * n : k * n + stop : n + 1] = self.band[k, : n - k]  # (j+k, j)
+            flat[k : k + stop : n + 1] = self.band[k, : n - k]  # (j, j+k)
         return a
 
 
-def _surrogate_band(dim: int, lam: float) -> SymmetricBand:
-    """Surrogate cost matrix plus lam*diag(0..dim-1) as its lower band; the
-    band is cut to the offsets that fit, so dims 1 and 2 are exact too."""
-    band = np.zeros((min(dim, len(SURROGATE_BAND)), dim))
-    band[0] = SURROGATE_BAND[0] + lam * np.arange(dim)
-    for k in range(1, band.shape[0]):
-        band[k, : dim - k] = SURROGATE_BAND[k]
+def _cost_band(kind: CostKind, dim: int, lam: float) -> SymmetricBand:
+    """Cost matrix plus lam*diag(0..dim-1) as its lower band, in Fortran
+    order: row k holds the Toeplitz value at offset k, over all dim rows for
+    the exact cost and the offsets of SURROGATE_BAND that fit for the
+    surrogate (so dims 1 and 2 are exact too)."""
+    if kind is CostKind.EXACT_SQUARE:
+        k = np.arange(1.0, dim)
+        toeplitz = np.concatenate([[math.pi**2 / 3], 2.0 / (k * k)])
+        toeplitz[1::2] *= -1.0  # the odd offsets
+    else:
+        toeplitz = np.array(SURROGATE_BAND[:dim])
+    band = np.empty((len(toeplitz), dim), order="F")
+    band[:] = toeplitz[:, np.newaxis]  # the unused entries get values too; nothing reads them
+    band[0] += lam * np.arange(dim)
     return SymmetricBand(band)
-
-
-def _exact_matrix(dim: int, lam: float) -> np.ndarray:
-    """Exact cost matrix plus lam*diag(0..dim-1), copied once from a strided
-    view of its 2*dim-1 Toeplitz values."""
-    m = np.arange(1.0 - dim, dim)  # vals[i] is the entry at offset m[i]
-    m[dim - 1] = 1.0  # keeps the division finite; the diagonal value is set below
-    vals = 2.0 / (m * m)
-    odd = vals[dim % 2 :: 2]  # the odd offsets
-    np.negative(odd, out=odd)
-    vals[dim - 1] = math.pi**2 / 3
-    # row i is vals[dim-1-i : 2*dim-1-i]: the view steps back one 8-byte value per row
-    b = np.ndarray((dim, dim), buffer=vals, offset=(dim - 1) * 8, strides=(-8, 8)).copy()
-    b.reshape(-1)[dim + 1 :: dim + 1] += lam * m[dim:]  # n = 1..dim-1; n = 0 adds 0
-    return b
 
 
 def min_eigenpair(matrix, start=None):
@@ -178,8 +170,9 @@ def min_eigenpair(matrix, start=None):
     matrix, dense or a SymmetricBand, with a certified residual
     ||Av - mu v|| <= 1e-9 ||A||_inf.
 
-    Inverse iteration runs on Cholesky factors of A - sigma*I (``dpotrf``
-    dense, ``dpbtrf`` banded; A is scaled by a power of two if ||A||_inf is
+    A dense matrix is checked and copied once into a full-width band, so
+    one path serves both forms: inverse iteration on ``dpbtrf`` Cholesky
+    factors of A - sigma*I (A is scaled by a power of two if ||A||_inf is
     outside 2^-500..2^500).  A shift is used only once its factorization
     succeeds, which proves sigma below every eigenvalue.  The iteration runs
     until the residual is at rounding level, 4 eps ||A||_inf, and the vector
@@ -200,18 +193,20 @@ def min_eigenpair(matrix, start=None):
     """
     from scipy.linalg import blas
 
-    band = matrix if isinstance(matrix, SymmetricBand) else None
-    if band is None:
+    if not isinstance(matrix, SymmetricBand):
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError("matrix must be square")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+            raise ValidationError("matrix must be square, at least 1 x 1")
         # Exact equality, which every matrix built here passes, costs a small
         # fraction of the tolerance test it short-circuits (NaN fails both).
         if (matrix != matrix.T).max() and not abs(matrix - matrix.T).max() <= 1e-12:
             raise ValidationError("matrix is not symmetric")
-        norm_est = float(abs(matrix).sum(axis=1).max())
-    else:
-        norm_est = float((SymmetricBand(abs(band.band)) @ np.ones(band.shape[0])).max())
+        n = len(matrix)
+        band = np.zeros((n, n), order="F")
+        for j in range(n):  # band column j is matrix row j from the diagonal on
+            band[: n - j, j] = matrix[j, j:]
+        matrix = SymmetricBand(band)
+    norm_est = float((SymmetricBand(abs(matrix.band)) @ np.ones(matrix.shape[0])).max())
     if not math.isfinite(norm_est):
         # the LAPACK calls below skip their own finiteness checks
         raise ValidationError("matrix entries must be finite")
@@ -226,7 +221,7 @@ def min_eigenpair(matrix, start=None):
         # a norm in 2^-500..2^500 keeps the solves, norms and tolerances
         # below clear of overflow and underflow; a power of two scales exactly
         exp = -math.frexp(norm_est)[1]
-        matrix = np.ldexp(matrix, exp) if band is None else SymmetricBand(np.ldexp(band.band, exp))
+        matrix = SymmetricBand(np.ldexp(matrix.band, exp))
     v = _inverse_iteration(matrix, math.ldexp(norm_est, exp), start)
     v = v / blas.dnrm2(v)
     av = matrix @ v
@@ -240,20 +235,15 @@ def min_eigenpair(matrix, start=None):
     return math.ldexp(mu, -exp), v, residual
 
 
-def _shifted_cholesky(matrix, shift: float):
+def _shifted_cholesky(matrix: SymmetricBand, shift: float):
     """x -> (A - shift*I)^-1 x from a Cholesky factor of A - shift*I, or
     None when the factorization fails: then A has an eigenvalue <= shift."""
     from scipy.linalg import lapack
 
-    if isinstance(matrix, SymmetricBand):
-        ab = matrix.band.copy()
-        ab[0] -= shift
-        c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
-        return None if info else lambda x: lapack.dpbtrs(c, x, lower=1)[0]
-    a = np.array(matrix.T, order="F")  # A.T is A, and a plain copy in Fortran order
-    a[np.diag_indices(len(a))] -= shift
-    c, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
-    return None if info else lambda x: lapack.dpotrs(c, x, lower=1)[0]
+    ab = matrix.band.copy(order="K")  # a Fortran-order band stays one, so LAPACK copies nothing
+    ab[0] -= shift
+    c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    return None if info else lambda x: lapack.dpbtrs(c, x, lower=1)[0]
 
 
 def _factor_below(matrix, rho: float, dist: float, floor: float):
@@ -297,9 +287,11 @@ def _inverse_iteration(matrix, norm_est: float, start):
     norm = norm_est or 1.0  # the zero matrix needs tolerances and a shift too
     tau = RESIDUAL_TOL * norm
     stop = ROUNDING_TOL * norm
-    # one factorization in solves (dpotrf/dpotrs with the copy: 12 at dim
-    # 300, 33 at 2400; dpbtrf/dpbtrs: 2)
-    cost = 2.0 if isinstance(matrix, SymmetricBand) else 10.0 + n / 100.0
+    # one factorization in solves, from the band's row count: dpbtrf with
+    # its copy over one dpbtrs measured 1.2-1.9 at 3 rows (dims 300-240000),
+    # and at full width 5.5 at dim 64, 25 at 300 and 1200, 40 at 2400 and
+    # 49 at 4000 (2-core Xeon VM)
+    cost = math.sqrt(matrix.band.shape[0])
     ceiling = math.inf  # every failed factorization at s proves lambda_min <= s
     for v in ([] if start is None else [start]) + [None]:
         cold = v is None
@@ -359,8 +351,7 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, start=None):
         raise ValidationError("lambda must be nonnegative")
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    b = _exact_matrix(dim, lam) if kind is CostKind.EXACT_SQUARE else _surrogate_band(dim, lam)
-    mu, v, residual = min_eigenpair(b, start=start)
+    mu, v, residual = min_eigenpair(_cost_band(kind, dim, lam), start=start)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

@@ -130,6 +130,8 @@ def density_grid(dist: PhaseDistribution, points: int, midpoint: bool = False) -
 
 def density_at(dist: PhaseDistribution, theta: float) -> float:
     """(1/2pi)[1 + 2 sum_k Re(m_k e^{-ik theta})]."""
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite")
     k = np.arange(1, dist.moments.size)
     val = 1.0 + 2.0 * float(np.sum((dist.moments[1:] * np.exp(-1j * k * theta)).real))
     return val / (2 * math.pi)

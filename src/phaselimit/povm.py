@@ -215,8 +215,11 @@ def conditional_probability(
     povm: EstimatePOM, state: ProbeState, phi: float, outcome_index: int
 ) -> float:
     """p(j|phi) = tr[M_j rho_phi] with rho_phi the phase-shifted probe."""
-    if not 0 <= outcome_index < povm.n_outcomes:
-        raise ValidationError(f"outcome index {outcome_index} out of range")
+    n = povm.n_outcomes
+    if not (isinstance(outcome_index, (int, np.integer)) and 0 <= outcome_index < n):
+        raise ValidationError(f"outcome index {outcome_index!r} is not an integer in 0..{n - 1}")
+    if not math.isfinite(phi):
+        raise ValidationError("phi must be finite")
     if povm.dim != state.dim:
         raise ValidationError("POM and state dimensions differ")
     c_phi = state.amplitudes * np.exp(-1j * np.arange(state.dim) * phi)
@@ -296,6 +299,8 @@ def per_phase_variance(povm: EstimatePOM, state: ProbeState, phi):
     """
     phis = np.asarray(phi, dtype=float)
     flat = phis.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValidationError("phi must be finite")
     a = _coefficients(povm, state)
     k = np.arange(-(state.dim - 1), state.dim)
     # The rounding of k*phi (up to 6e-14 at k*phi ~ 800) would pass straight

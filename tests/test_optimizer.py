@@ -28,7 +28,7 @@ from phaselimit import (
     solve_at_multiplier,
     surrogate_cost,
 )
-from phaselimit.optimizer import SymmetricBand, _next_multiplier, _surrogate_band
+from phaselimit.optimizer import SymmetricBand, _cost_band, _next_multiplier
 
 # Frozen oracle: brute-force random search over real dim-3/4 states with
 # mean within 2e-3 of 0.5 achieved cost 1.00747, already below the dim-2
@@ -53,9 +53,11 @@ class TestCostMatrix:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 300])
     def test_exact_equals_scipy_toeplitz(self, dim):
+        # the closed-form cosine-series column of theta^2, exactly
+        column = [math.pi**2 / 3] + [2 * (-1) ** k / k**2 for k in range(1, dim)]
         a = cost_matrix(CostKind.EXACT_SQUARE, dim)
         assert a.flags.c_contiguous and a.flags.writeable
-        assert np.array_equal(a, scipy.linalg.toeplitz(a[:, 0]))
+        assert np.array_equal(a, scipy.linalg.toeplitz(column))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_surrogate_small_dims(self, dim):
@@ -101,15 +103,16 @@ class TestMinEigenpair:
             assert np.linalg.norm(m @ v - mu * v) < 1e-9
 
     def test_sparse_matches_dense(self):
-        b = _surrogate_band(600, 0.3)
+        b = _cost_band(CostKind.SURROGATE, 600, 0.3)
         mu_s, v_s, _ = min_eigenpair(b)
         vals, vecs = scipy.linalg.eigh(b.toarray(), subset_by_index=[0, 0])
         assert mu_s == pytest.approx(vals[0], abs=1e-10)
         assert abs(abs(v_s @ vecs[:, 0]) - 1) < 1e-8
 
     def test_either_form_at_either_size(self):
-        # the method follows the size, not the input form
-        for b in (_surrogate_band(100, 0.3), cost_matrix(CostKind.EXACT_SQUARE, 300)):
+        # a narrow band, and a dense matrix solved as a full-width band
+        band = _cost_band(CostKind.SURROGATE, 100, 0.3)
+        for b in (band, cost_matrix(CostKind.EXACT_SQUARE, 300)):
             mu, v, residual = min_eigenpair(b)
             dense = b.toarray() if isinstance(b, SymmetricBand) else b
             assert mu == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
@@ -128,6 +131,29 @@ class TestMinEigenpair:
         m = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
         mu, _, _ = min_eigenpair(m)
         assert mu == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValidationError, match="matrix must be square"):
+            min_eigenpair(np.zeros(shape))
+
+    @pytest.mark.parametrize("form", ["band", "dense"])
+    def test_second_difference_closed_form(self, form):
+        # 2I - (S + S^T), S the shift matrix, has eigenvalues
+        # 2 - 2cos(j pi/(d+1)) = 4 sin^2(j pi/(2(d+1))) and eigenvectors
+        # sin(j k pi/(d+1)), k = 1..d.  As a 2-row band and as a dense matrix
+        # (a full-width band), at a d where a dense eigh takes about a second.
+        d = 2000
+        if form == "band":
+            matrix = SymmetricBand(np.vstack([np.full(d, 2.0), np.full(d, -1.0)]))
+        else:
+            matrix = 2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)
+        mu, v, residual = min_eigenpair(matrix)
+        theta = math.pi / (d + 1)
+        sine = np.sin(theta * np.arange(1, d + 1))
+        assert mu == pytest.approx(4 * math.sin(theta / 2) ** 2, rel=0, abs=1e-15)
+        assert abs(v @ sine) / np.linalg.norm(sine) >= 1 - 1e-12
+        assert residual <= 16 * np.finfo(float).eps
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
@@ -194,7 +220,7 @@ class TestMinEigenpair:
     )
     def test_rejects_bad_start(self, start, match):
         with pytest.raises(ValidationError, match=match):
-            min_eigenpair(_surrogate_band(300, 0.1), start=start)
+            min_eigenpair(_cost_band(CostKind.SURROGATE, 300, 0.1), start=start)
 
     def test_cluster_narrower_than_tolerance(self):
         # eigenvalues 1e-10 apart, closer than the residual tolerance: shifts
@@ -261,7 +287,7 @@ class TestMinEigenpair:
         dim, lam = 300, 1e-3
         b = cost_matrix(kind, dim) + lam * np.diag(np.arange(dim, dtype=float))
         vals, vecs = scipy.linalg.eigh(b, subset_by_index=[0, 1])
-        matrix = _surrogate_band(dim, lam) if kind is CostKind.SURROGATE else b
+        matrix = _cost_band(kind, dim, lam) if kind is CostKind.SURROGATE else b
         mu, v, residual = min_eigenpair(matrix, start=vecs[:, 1])
         assert mu == pytest.approx(vals[0], abs=1e-12)
         assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
@@ -326,7 +352,7 @@ class TestMinEigenpair:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("dim", [3, 300])
     def test_rejects_non_finite_band(self, bad, dim):
-        b = _surrogate_band(dim, 0.1)
+        b = _cost_band(CostKind.SURROGATE, dim, 0.1)
         b.band[1, dim // 2] = bad
         with pytest.raises(ValidationError, match="entries must be finite"):
             min_eigenpair(b)
@@ -334,7 +360,7 @@ class TestMinEigenpair:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_small_bands_match_cost_matrix(self, dim, rng):
         lam = 0.7
-        b = _surrogate_band(dim, lam)
+        b = _cost_band(CostKind.SURROGATE, dim, lam)
         dense = cost_matrix(CostKind.SURROGATE, dim) + lam * np.diag(np.arange(dim, dtype=float))
         assert b.shape == (dim, dim)
         assert np.array_equal(b.toarray(), dense)
@@ -407,16 +433,20 @@ class TestSolveAtMultiplier:
     def test_exact_solve_leaves_no_matrix_resident(self):
         # After a warm-up solve at another dim (scipy's import, the LAPACK
         # wrappers), a dim-1200 exact solve leaves less than a tenth of its
-        # 8*dim^2-byte B(lambda) allocated once it returns.
+        # 8*dim^2-byte B(lambda) allocated once it returns, and peaks below
+        # 2.5 of them: the full-width band and one factor (or |B| for the
+        # norm).  A band not in Fortran order would get a third, the LAPACK
+        # wrapper's own copy.
         dim = 1200
         solve_at_multiplier(CostKind.EXACT_SQUARE, 8, 0.1)
         tracemalloc.start()
         try:
             solve_at_multiplier(CostKind.EXACT_SQUARE, dim, 0.1)
-            current = tracemalloc.get_traced_memory()[0]
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert current < 8 * dim**2 / 10
+        assert peak < 2.5 * 8 * dim**2
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValidationError):

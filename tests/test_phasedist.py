@@ -100,6 +100,11 @@ class TestDensityAt:
         total = sum(density_at(dist, t) for t in theta) * 2 * math.pi / 4096
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(ValidationError, match="theta must be finite"):
+            density_at(HALF_HALF, theta)
+
 
 def complex_fft_density_grid(dist, points, midpoint=False):
     """Reference: the density as the real part of one complex FFT of the

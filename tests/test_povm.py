@@ -241,6 +241,16 @@ class TestConditionalProbability:
         with pytest.raises(ValidationError):
             conditional_probability(povm, random_state(rng, 3), 0.0, 5)
 
+    @pytest.mark.parametrize("index", [1.5, "0", None])
+    def test_index_not_an_integer(self, rng, index):
+        with pytest.raises(ValidationError, match="not an integer"):
+            conditional_probability(number_povm(3), random_state(rng, 3), 0.0, index)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi(self, rng, phi):
+        with pytest.raises(ValidationError, match="phi must be finite"):
+            conditional_probability(number_povm(3), random_state(rng, 3), phi, 0)
+
 
 class TestAverageDistribution:
     def test_identity_on_vacuum_is_uniform(self):
@@ -358,6 +368,12 @@ class TestPerPhaseVariance:
         avg = np.mean(per_phase_variance(povm, s, phis))
         msd = mean_square_deviation(average_distribution(povm, s))
         assert avg == pytest.approx(msd, abs=1e-6)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, np.array([0.0, -math.inf, 1.0])])
+    def test_non_finite_phi(self, rng, phi):
+        povm = random_povm(rng, 4, 6)
+        with pytest.raises(ValidationError, match="phi must be finite"):
+            per_phase_variance(povm, random_state(rng, 4), phi)
 
 
 class TestBatchedSweep:
