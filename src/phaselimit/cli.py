@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from . import bounds, fock, optimizer, phasedist, povm
 from .errors import ConvergenceError, ValidationError
@@ -41,26 +40,16 @@ CURVE_COLUMNS = [
 
 
 def _emit(text: str, out_path: str | None):
-    """Write to stdout, or atomically to a file (temp file + rename)."""
+    """Write the text, ending in a newline, to stdout or to PATH opened as
+    open(PATH, "w") opens it.  main builds the whole text before it calls
+    this, so a command that fails leaves PATH as it was."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".phaselimit-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # give the file open(path, "w")'s mode, not mkstemp's 0600
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open(out_path, "w") as fh:
+        fh.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -205,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, formats=("json",)):  # the formats the command writes, default first
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", default=None, help="write output atomically to PATH")
+        p.add_argument("--out", default=None, help="write output to PATH")
 
     p = sub.add_parser("constants", help="print k_A, k_C, z_A to 12 digits")
     common(p, ("text", "json"))

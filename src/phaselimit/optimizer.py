@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _is_integer
 from .fock import ProbeState
 
 DENSE_DIM_LIMIT = 4096
@@ -106,8 +106,8 @@ def cost_matrix(kind: CostKind, dim: int) -> np.ndarray:
     offset); surrogate, the pentadiagonal SURROGATE_BAND (diagonal 5/2,
     first offset -4/3, second offset 1/12).
     """
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
+    if not _is_integer(dim) or dim < 1:
+        raise ValidationError("dim must be an integer >= 1")
     return _cost_band(kind, dim, 0.0).toarray()
 
 
@@ -349,8 +349,8 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, start=None):
     """
     if lam < 0:
         raise ValidationError("lambda must be nonnegative")
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
+    if not _is_integer(dim) or dim < 1:
+        raise ValidationError("dim must be an integer >= 1")
     mu, v, residual = min_eigenpair(_cost_band(kind, dim, lam), start=start)
     # Fix the sign convention so the dominant component is nonnegative.
     if v[np.argmax(np.abs(v))] < 0:
@@ -443,8 +443,8 @@ def _start_dim(kind, target_mean, dim, mean_tol):
                 f"target mean {target_mean} needs more than the {kind.value} cap of "
                 f"{cap} dimensions (default dim 8*mean)"
             )
-    elif dim < 1:
-        raise ValidationError("dim must be >= 1")
+    elif not _is_integer(dim) or dim < 1:
+        raise ValidationError("dim must be an integer >= 1")
     elif dim > cap:
         raise ValidationError(f"dim {dim} exceeds the {kind.value} cap {cap}")
     if target_mean > (dim - 1) / 2 + mean_tol * (1.0 + target_mean):

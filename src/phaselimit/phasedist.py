@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _is_integer
 from .fock import ProbeState, _from_pairs, _to_pairs
 
 DENSITY_FLOOR = -1e-9
@@ -115,8 +115,8 @@ def density_grid(dist: PhaseDistribution, points: int, midpoint: bool = False) -
     The density is real, so one real inverse FFT of the one-sided spectrum
     k = 0..kmax evaluates it; m_{-k} = conj(m_k) is implied, never stored.
     """
-    if points <= 2 * dist.kmax:
-        raise ValidationError("grid must have more points than twice kmax")
+    if not _is_integer(points) or points <= 2 * dist.kmax:
+        raise ValidationError("grid must be an integer count with more points than twice kmax")
     m = dist.moments
     offset = -math.pi + (math.pi / points if midpoint else 0.0)
     # e^{-ik theta_j} = e^{-ik offset} e^{-2pi i jk/points}: the grid origin's
@@ -183,7 +183,7 @@ def differential_entropy(dist: PhaseDistribution, grid_points: int | None = None
     """
     if grid_points is None:
         grid_points = _grid_above(dist.kmax, DEFAULT_ENTROPY_GRID)
-    if grid_points < 64 or grid_points & (grid_points - 1):
+    if not _is_integer(grid_points) or grid_points < 64 or grid_points & (grid_points - 1):
         raise ValidationError("grid_points must be a power of two >= 64")
     if grid_points > MAX_ENTROPY_GRID:
         raise ValidationError(f"grid_points must be at most {MAX_ENTROPY_GRID}")

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
 from .fock import ProbeState, _from_pairs, _to_pairs, make_state
 from .phasedist import PhaseDistribution, _autocorrelation
 
@@ -92,7 +92,7 @@ class EstimatePOM:
         self._vectors = None
         if vectors is None:
             els = _read_only(elements, complex)
-            if els.ndim != 3 or els.shape[0] != est.size or els.shape[1] != els.shape[2]:
+            if els.ndim != 3 or els.shape[0] != est.size or not 0 < els.shape[1] == els.shape[2]:
                 raise ValidationError("elements must be (n_outcomes, dim, dim)")
             for start in range(0, est.size, VALIDATION_CHUNK):
                 _validate_elements(els[start : start + VALIDATION_CHUNK], start)
@@ -167,6 +167,8 @@ class EstimatePOM:
         """
         try:
             outcomes = data["outcomes"]
+            if not all(type(o["estimate"]) in (int, float) for o in outcomes):
+                raise ValueError("every estimate must be a JSON number")
             est = np.array([float(o["estimate"]) for o in outcomes])
             if all("matrix" not in o for o in outcomes):
                 form = {"vectors": np.array([_from_pairs(o["vector"]) for o in outcomes])}
@@ -216,7 +218,7 @@ def conditional_probability(
 ) -> float:
     """p(j|phi) = tr[M_j rho_phi] with rho_phi the phase-shifted probe."""
     n = povm.n_outcomes
-    if not (isinstance(outcome_index, (int, np.integer)) and 0 <= outcome_index < n):
+    if not (_is_integer(outcome_index) and 0 <= outcome_index < n):
         raise ValidationError(f"outcome index {outcome_index!r} is not an integer in 0..{n - 1}")
     if not math.isfinite(phi):
         raise ValidationError("phi must be finite")
@@ -328,8 +330,8 @@ def kphase_construction(K: int):
     at each special phase.  K is refused, before anything is allocated,
     when the O(K^2) work would need more than MAX_KPHASE_BYTES.
     """
-    if K < 1:
-        raise ValidationError("K must be >= 1")
+    if not _is_integer(K) or K < 1:
+        raise ValidationError("K must be an integer >= 1")
     need = KPHASE_BYTES_PER_ENTRY * K**2
     if need > MAX_KPHASE_BYTES:
         raise ValidationError(

@@ -134,6 +134,100 @@ class TestCurve:
         assert data["rows"][0]["product"] >= 1.376083
 
 
+class TestOut:
+    """--out PATH is opened as open(PATH, "w") opens it: PATH keeps its kind,
+    its links and its mode, and gets the bytes stdout gets."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("constants",),
+            ("constants", "--format", "json"),
+            ("bounds", "--state", "[[1,0],[1,0]]"),
+            ("bounds", "--state", "[[1,0],[1,0]]", "--format", "json"),
+            ("optimize", "--mean", "0.5", "--dim", "2"),
+            ("curve", "--kind", "surrogate", "--means", "0.5,1"),
+            ("curve", "--kind", "surrogate", "--means", "0.5,1", "--format", "json"),
+            ("simulate", "--povm", "pom.json", "--state", "state.json"),
+            ("simulate", "--povm", "pom.json", "--state", "state.json", "--format", "text"),
+            ("discriminate", "--K", "4"),
+            ("discriminate", "--K", "4", "--format", "text"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_bytes_equal_stdout(self, capsys, tmp_path, monkeypatch, argv):
+        state, pom, _ = kphase_construction(4)
+        (tmp_path / "state.json").write_text(json.dumps(state.to_json()))
+        (tmp_path / "pom.json").write_text(json.dumps(pom.to_json()))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", "out")[0] == 0
+        assert (tmp_path / "out").read_bytes() == out.encode()
+
+    @staticmethod
+    def _constants(capsys, path):
+        expected = run_cli(capsys, "constants")[1].encode()
+        assert run_cli(capsys, "constants", "--out", str(path))[0] == 0
+        return expected
+
+    def test_symlink_kept(self, capsys, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        expected = self._constants(capsys, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_fifo_kept(self, capsys, tmp_path):
+        # with a reader open, open(fifo, "w") returns at once, and the output
+        # fits the pipe buffer; were the FIFO replaced, the read gets nothing
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            expected = self._constants(capsys, fifo)
+            received = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == expected
+
+    def test_hard_link_kept(self, capsys, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.write_text("old\n")
+        os.link(first, second)
+        expected = self._constants(capsys, first)
+        assert first.read_bytes() == second.read_bytes() == expected
+
+    def test_private_mode_kept(self, capsys, tmp_path):
+        path = tmp_path / "private.txt"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        umask = os.umask(0o022)
+        try:
+            expected = self._constants(capsys, path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # refused before any solve
+            (("optimize", "--kind", "exact", "--mean", "1400"), 1),
+            # fails its tail test after one solve
+            (("optimize", "--kind", "exact", "--mean", "5", "--mean-tol", "1e300"), 2),
+        ],
+    )
+    def test_failure_leaves_out_unchanged(self, capsys, tmp_path, argv, code):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes, no newline")
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == code
+        assert path.read_bytes() == b"old bytes, no newline"
+
+
 class TestBadInput:
     """Every bad input exits 1 with one 'error:' line, never a traceback."""
 
@@ -178,6 +272,10 @@ class TestBadInput:
             ("optimize",),
             # a dimension below 1
             ("optimize", "--mean", "5", "--dim", "-3"),
+            # estimates that float() would take but are no JSON numbers
+            ("simulate", "--state", "[[1,0]]", "--povm", "numeric-text-estimate.json"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "padded-text-estimate.json"),
+            ("simulate", "--state", "[[1,0]]", "--povm", "true-estimate.json"),
         ],
     )
     def test_exits_1_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -185,6 +283,9 @@ class TestBadInput:
         for name, estimate, entry in (
             ("null-estimate.json", None, 1.0),
             ("text-estimate.json", "x", 1.0),
+            ("numeric-text-estimate.json", "1.5", 1.0),
+            ("padded-text-estimate.json", " 2 ", 1.0),
+            ("true-estimate.json", True, 1.0),
             ("zero-estimate.json", 0.0, 1.0),
             ("huge-estimate.json", 10**400, 1.0),
             ("huge-entry.json", 0.0, 10**400),

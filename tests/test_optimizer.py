@@ -679,10 +679,33 @@ class TestOptimizeAtMean:
 
     @pytest.mark.parametrize("dim", [0, -3])
     def test_nonpositive_dim_refused(self, dim):
-        with pytest.raises(ValidationError, match="^dim must be >= 1$"):
+        with pytest.raises(ValidationError, match="^dim must be an integer >= 1$"):
             optimize_at_mean(CostKind.EXACT_SQUARE, 5.0, dim=dim)
-        with pytest.raises(ValidationError, match="^dim must be >= 1$"):
+        with pytest.raises(ValidationError, match="^dim must be an integer >= 1$"):
             figure2_curve(CostKind.SURROGATE, [5.0], dim=dim)
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dim: optimize_at_mean(CostKind.EXACT_SQUARE, 0.5, dim=dim),
+            lambda dim: figure2_curve(CostKind.SURROGATE, [0.5], dim=dim),
+            lambda dim: solve_at_multiplier(CostKind.EXACT_SQUARE, dim, 0.1),
+            lambda dim: cost_matrix(CostKind.EXACT_SQUARE, dim),
+        ],
+        ids=["optimize_at_mean", "figure2_curve", "solve_at_multiplier", "cost_matrix"],
+    )
+    def test_non_integer_dim_refused(self, call, dim):
+        # a float or a bool is no size, even where it compares like one
+        with pytest.raises(ValidationError, match="^dim must be an integer >= 1$"):
+            call(dim)
+
+    def test_numpy_integer_dim_accepted(self):
+        kind, dim = CostKind.EXACT_SQUARE, np.int64(8)
+        assert np.array_equal(cost_matrix(kind, dim), cost_matrix(kind, 8))
+        res = optimize_at_mean(CostKind.SURROGATE, 0.5, dim=dim)
+        assert res.dim == 8
+        assert res.cost == optimize_at_mean(CostKind.SURROGATE, 0.5, dim=8).cost
 
     def test_explicit_dim_too_small_for_bracket(self):
         with pytest.raises((ValidationError, ConvergenceError)):

@@ -153,6 +153,13 @@ class TestDensityGrid:
         with pytest.raises(ValidationError, match="more points than twice kmax"):
             phasedist.density_grid(dist, 8)
 
+    def test_non_integer_points_rejected(self, rng):
+        dist = canonical_distribution(random_state(rng, 5))
+        with pytest.raises(ValidationError, match="^grid must be an integer count"):
+            phasedist.density_grid(dist, 64.5)
+        grid = phasedist.density_grid(dist, np.int64(64))
+        assert np.array_equal(grid, phasedist.density_grid(dist, 64))
+
     def test_entropy_matches_complex_fft_reference(self):
         # 64 seeded states with dims log-spread over 2..512: the entropy on
         # both grids agrees with the complex-FFT reference to rounding, and
@@ -236,6 +243,15 @@ class TestDifferentialEntropy:
             differential_entropy(UNIFORM, 32)
         with pytest.raises(ValidationError, match="at most"):
             differential_entropy(UNIFORM, 2**50)
+
+    @pytest.mark.parametrize("grid", [64.0, True])
+    def test_non_integer_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="^grid_points must be a power of two >= 64$"):
+            differential_entropy(HALF_HALF, grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        h = differential_entropy(HALF_HALF, np.int64(8192))
+        assert h == differential_entropy(HALF_HALF, 8192)
 
     @pytest.mark.parametrize("top, grid", [(4095, 8192), (4097, 16384), (5000, 16384)])
     def test_default_grid_exceeds_twice_kmax(self, monkeypatch, top, grid):

@@ -75,12 +75,17 @@ class TestEstimatePOM:
         with pytest.raises(ValidationError, match="finite"):
             EstimatePOM(np.array([bad]), np.eye(2, dtype=complex)[None])
 
-    @pytest.mark.parametrize("bad", [None, "x", [1.0]])
+    @pytest.mark.parametrize("bad", [None, "x", [1.0], "1.5", " 2 ", True, False])
     def test_from_json_rejects_non_number_estimate(self, bad):
+        # an estimate is a JSON number: float() would take "1.5" and true
         data = number_povm(2).to_json()
         data["outcomes"][1]["estimate"] = bad
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^malformed POM data: "):
             EstimatePOM.from_json(data)
+
+    def test_rejects_empty_dense_elements(self):
+        with pytest.raises(ValidationError, match=r"^elements must be \(n_outcomes, dim, dim\)$"):
+            EstimatePOM([0.0], np.zeros((1, 0, 0)))
 
     @staticmethod
     def _split_identity(n=20, dim=3):
@@ -241,10 +246,15 @@ class TestConditionalProbability:
         with pytest.raises(ValidationError):
             conditional_probability(povm, random_state(rng, 3), 0.0, 5)
 
-    @pytest.mark.parametrize("index", [1.5, "0", None])
+    @pytest.mark.parametrize("index", [1.5, "0", None, True])
     def test_index_not_an_integer(self, rng, index):
         with pytest.raises(ValidationError, match="not an integer"):
             conditional_probability(number_povm(3), random_state(rng, 3), 0.0, index)
+
+    def test_numpy_integer_index_accepted(self, rng):
+        povm, s = number_povm(3), random_state(rng, 3)
+        p = conditional_probability(povm, s, 0.3, np.int64(1))
+        assert p == conditional_probability(povm, s, 0.3, 1)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phi(self, rng, phi):
@@ -448,6 +458,14 @@ class TestKPhaseConstruction:
     def test_invalid_k(self):
         with pytest.raises(ValidationError):
             kphase_construction(0)
+
+    @pytest.mark.parametrize("K", [4.0, True])
+    def test_non_integer_k_refused(self, K):
+        with pytest.raises(ValidationError, match="^K must be an integer >= 1$"):
+            kphase_construction(K)
+
+    def test_numpy_integer_k_accepted(self):
+        assert kphase_construction(np.int64(4))[2] == kphase_construction(4)[2]
 
     @pytest.mark.parametrize("K", [1, 2, 7, 64])
     def test_report_variances_match_public_sweep(self, K):
