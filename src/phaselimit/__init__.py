@@ -4,12 +4,10 @@ estimation of completely unknown phase shifts."""
 from .errors import ConvergenceError, ValidationError
 from .fock import (
     GeneratorSpec,
-    NumberDistribution,
     ProbeState,
     generator_eigenvalue,
     make_state,
     mean_number,
-    number_distribution,
     number_entropy,
     reduce_to_single_mode,
     thermal_entropy,
@@ -17,12 +15,9 @@ from .fock import (
 from .phasedist import (
     PhaseDistribution,
     canonical_distribution,
-    density_at,
     differential_entropy,
-    ensemble_length,
     holevo_variance,
     mean_square_deviation,
-    surrogate_cost,
 )
 from .bounds import (
     BoundReport,

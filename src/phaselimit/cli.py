@@ -64,17 +64,19 @@ def _jsonable(x):
 
 
 def _load_state(spec: str) -> fock.ProbeState:
-    text = spec
+    """A state from the file at ``spec`` if that path exists, else from
+    ``spec`` itself as inline JSON."""
     if os.path.exists(spec):
         try:
             with open(spec) as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"cannot decode state file {spec}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"state is neither a file nor valid JSON: {exc}") from exc
+                data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"cannot read state file {spec}: {exc}") from exc
+    else:
+        try:
+            data = json.loads(spec)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"state is neither a file nor valid JSON: {exc}") from exc
     return fock.ProbeState.from_json(data)
 
 

@@ -1,21 +1,22 @@
 """Probe states in the eigenbasis of the phase-shift generator.
 
 A probe is a pure state with amplitudes c_n over the nonnegative-integer
-eigenvalues n of the generator.  This module provides the state type, its
-number-distribution statistics and entropies, multimode generator specs
-N = sum_k p_k (N_k)^q, and the reduction of a multimode probe to the
-equivalent single-mode state with the same distribution of N.
+eigenvalues n of the generator.  This module provides the state type, the
+mean and the Shannon entropy of its number distribution p_n = |c_n|^2 (read
+from the amplitudes), multimode generator specs N = sum_k p_k (N_k)^q, and
+the reduction of a multimode probe to the equivalent single-mode state with
+the same distribution of N.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
 
 NORM_TOL = 1e-12
 
@@ -70,30 +71,6 @@ def _from_pairs(pairs) -> list:
 
 
 @dataclass(frozen=True)
-class NumberDistribution:
-    """Distribution of the generator eigenvalue; ``probabilities[n]`` = p_n."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        if p.ndim != 1 or p.size < 1:
-            raise ValidationError("probabilities must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("probabilities must be finite")
-        if np.any(p < 0):
-            raise ValidationError("probabilities must be nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-
-    def to_json(self) -> list:
-        return [float(p) for p in self.probabilities]
-
-
-@dataclass(frozen=True)
 class GeneratorSpec:
     """Multimode shift generator N = sum_k passes[k] * (N_k)**exponent.
 
@@ -106,8 +83,13 @@ class GeneratorSpec:
     cutoffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "passes", tuple(int(p) for p in self.passes))
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
+        passes, cutoffs = tuple(self.passes), tuple(self.cutoffs)
+        if not all(_is_integer(v) for v in (*passes, *cutoffs, self.exponent)):
+            raise ValidationError("passes, exponent and cutoffs must be integers")
+        # held as Python ints, whose eigenvalue sums cannot wrap as numpy's can
+        object.__setattr__(self, "passes", tuple(int(p) for p in passes))
+        object.__setattr__(self, "cutoffs", tuple(int(c) for c in cutoffs))
+        object.__setattr__(self, "exponent", int(self.exponent))
         if len(self.passes) != len(self.cutoffs) or not self.passes:
             raise ValidationError("passes and cutoffs must be nonempty and equal length")
         if any(p < 1 for p in self.passes):
@@ -145,12 +127,6 @@ def make_state(amplitudes) -> ProbeState:
     return ProbeState(amps / norm)
 
 
-def number_distribution(state: ProbeState) -> NumberDistribution:
-    """p_n = |c_n|^2, renormalized only against float round-off."""
-    p = np.abs(state.amplitudes) ** 2
-    return NumberDistribution(p / p.sum())
-
-
 def mean_number(state: ProbeState) -> float:
     """Mean of the generator eigenvalue, sum_n n |c_n|^2."""
     p = np.abs(state.amplitudes) ** 2
@@ -176,7 +152,10 @@ def thermal_entropy(nbar: float) -> float:
 
 def generator_eigenvalue(spec: GeneratorSpec, occupations) -> int:
     """Eigenvalue sum_k p_k * n_k**q for a joint occupation tuple."""
-    occ = tuple(int(n) for n in occupations)
+    occ = tuple(occupations)
+    if not all(_is_integer(n) for n in occ):
+        raise ValidationError("occupations must be integers")
+    occ = tuple(int(n) for n in occ)
     if len(occ) != spec.mode_count:
         raise ValidationError("occupation vector length does not match mode count")
     for n, c in zip(occ, spec.cutoffs):

@@ -165,15 +165,14 @@ def _cost_band(kind: CostKind, dim: int, lam: float) -> SymmetricBand:
     return SymmetricBand(band)
 
 
-def min_eigenpair(matrix, start=None):
+def min_eigenpair(matrix: SymmetricBand, start=None):
     """Algebraically smallest eigenvalue and unit eigenvector of a symmetric
-    matrix, dense or a SymmetricBand, with a certified residual
+    matrix held as a SymmetricBand, with a certified residual
     ||Av - mu v|| <= 1e-9 ||A||_inf.
 
-    A dense matrix is checked and copied once into a full-width band, so
-    one path serves both forms: inverse iteration on ``dpbtrf`` Cholesky
-    factors of A - sigma*I (A is scaled by a power of two if ||A||_inf is
-    outside 2^-500..2^500).  A shift is used only once its factorization
+    Inverse iteration on ``dpbtrf`` Cholesky factors of A - sigma*I (A is
+    scaled by a power of two if ||A||_inf is outside 2^-500..2^500); any
+    other input is refused.  A shift is used only once its factorization
     succeeds, which proves sigma below every eigenvalue.  The iteration runs
     until the residual is at rounding level, 4 eps ||A||_inf, and the vector
     has stopped turning or has stopped converging.  Later shifts come as
@@ -194,18 +193,7 @@ def min_eigenpair(matrix, start=None):
     from scipy.linalg import blas
 
     if not isinstance(matrix, SymmetricBand):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
-            raise ValidationError("matrix must be square, at least 1 x 1")
-        # Exact equality, which every matrix built here passes, costs a small
-        # fraction of the tolerance test it short-circuits (NaN fails both).
-        if (matrix != matrix.T).max() and not abs(matrix - matrix.T).max() <= 1e-12:
-            raise ValidationError("matrix is not symmetric")
-        n = len(matrix)
-        band = np.zeros((n, n), order="F")
-        for j in range(n):  # band column j is matrix row j from the diagonal on
-            band[: n - j, j] = matrix[j, j:]
-        matrix = SymmetricBand(band)
+        raise ValidationError("matrix must be a SymmetricBand")
     norm_est = float((SymmetricBand(abs(matrix.band)) @ np.ones(matrix.shape[0])).max())
     if not math.isfinite(norm_est):
         # the LAPACK calls below skip their own finiteness checks

@@ -128,15 +128,6 @@ def density_grid(dist: PhaseDistribution, points: int, midpoint: bool = False) -
     return np.fft.irfft(spec, points, norm="forward")
 
 
-def density_at(dist: PhaseDistribution, theta: float) -> float:
-    """(1/2pi)[1 + 2 sum_k Re(m_k e^{-ik theta})]."""
-    if not math.isfinite(theta):
-        raise ValidationError("theta must be finite")
-    k = np.arange(1, dist.moments.size)
-    val = 1.0 + 2.0 * float(np.sum((dist.moments[1:] * np.exp(-1j * k * theta)).real))
-    return val / (2 * math.pi)
-
-
 def mean_square_deviation(dist: PhaseDistribution) -> float:
     """<Theta^2> from the cosine series of theta^2 on [-pi, pi]:
     pi^2/3 + 4 sum_k (-1)^k Re(m_k)/k^2, exact for moment-complete densities."""
@@ -153,14 +144,6 @@ def holevo_variance(dist: PhaseDistribution) -> float:
     if m1 < HOLEVO_SENTINEL:
         return math.inf
     return 1.0 / m1**2 - 1.0
-
-
-def surrogate_cost(dist: PhaseDistribution) -> float:
-    """Expectation of 5/2 - (8/3)cos(theta) + (1/6)cos(2 theta), the sparse
-    pointwise lower bound on theta^2; missing moments count as zero."""
-    m1 = dist.moments[1].real if dist.kmax >= 1 else 0.0
-    m2 = dist.moments[2].real if dist.kmax >= 2 else 0.0
-    return 2.5 - (8.0 / 3.0) * m1 + (1.0 / 6.0) * m2
 
 
 def _grid_above(kmax: int, least: int) -> int:
@@ -204,9 +187,3 @@ def _entropy_on_grid(dist: PhaseDistribution, points: int) -> float:
     plogp = np.log(p, out=np.zeros_like(p), where=p > 0)
     plogp *= p
     return float(-plogp.sum() * (2 * math.pi / points))
-
-
-def ensemble_length(dist: PhaseDistribution, grid_points: int | None = None) -> float:
-    """Effective support length exp(H(Theta)), in (0, 2*pi]; ``grid_points``
-    as in `differential_entropy`."""
-    return math.exp(differential_entropy(dist, grid_points))

@@ -26,8 +26,8 @@ autocorrelation sum_m x_{m+k} conj(x_m) of x = u_j * conj(c), read from one
 zero-padded FFT per outcome in O(n_outcomes * dim log dim), and storage is
 O(n_outcomes * dim).  Such outcomes are PSD by construction, so only
 finiteness and completeness are checked.  The K-phase construction is held
-this way; the dense (n_outcomes, dim, dim) elements are formed only when a
-caller reads `EstimatePOM.elements`.
+this way.  A POM holds either its dense (n_outcomes, dim, dim) elements or
+its vectors, never both.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ TWO_PI = 2 * math.pi
 # Elements are validated this many at a time, which bounds the batched
 # temporaries (16 outcomes at dim 128 is 4 MB).
 VALIDATION_CHUNK = 16
-# Dense elements formed from the vectors of a rank-1 POM are refused above
-# this many bytes (J * dim^2 complex entries).
-MAX_ELEMENT_BYTES = 1 << 30
 # kphase_construction's work is a few K x K arrays and its report is O(K).
 # This many bytes per K^2 bounds the peak memory of `discriminate`
 # (measured: see CHANGES.md), and K is refused above MAX_KPHASE_BYTES of it.
@@ -74,9 +71,9 @@ class EstimatePOM:
     ``elements[j]``, with the elements summing to the identity.
 
     ``EstimatePOM(estimates, vectors=u)`` holds rank-1 outcomes
-    M_j = u_j u_j^H by the rows of the (n_outcomes, dim) array u; its
-    ``elements`` are formed on first access.  ``vectors`` is None for a POM
-    given by its elements.
+    M_j = u_j u_j^H by the rows of the (n_outcomes, dim) array u, and its
+    ``elements`` are None; ``vectors`` is None for a POM given by its
+    elements.
     """
 
     def __init__(self, estimates, elements=None, *, vectors=None):
@@ -122,18 +119,7 @@ class EstimatePOM:
         return self._vectors
 
     @property
-    def elements(self) -> np.ndarray:
-        """(n_outcomes, dim, dim) elements; for a vector POM they are formed
-        from the vectors on first access."""
-        if self._elements is None:
-            u = self._vectors
-            need = 16 * u.shape[0] * u.shape[1] ** 2
-            if need > MAX_ELEMENT_BYTES:
-                raise ValidationError(
-                    f"dense elements need {need} bytes "
-                    f"(limit {MAX_ELEMENT_BYTES} bytes = {MAX_ELEMENT_BYTES >> 30} GiB)"
-                )
-            self._elements = _read_only(u[:, :, None] * u.conj()[:, None, :], complex)
+    def elements(self) -> np.ndarray | None:
         return self._elements
 
     @property

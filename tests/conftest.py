@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phaselimit import EstimatePOM, ProbeState, make_state
+from phaselimit import EstimatePOM, ProbeState, SymmetricBand, ValidationError, make_state
 
 
 def random_state(rng, dim, complex_amps=True) -> ProbeState:
@@ -22,6 +22,43 @@ def msd_quadrature(dist, nodes=512) -> float:
         2 * math.pi
     )
     return float(np.sum(w * math.pi * theta**2 * dens))
+
+
+def density_at(dist, theta: float) -> float:
+    """Oracle for the density grid: (1/2pi)[1 + 2 sum_k Re(m_k e^{-ik theta})]."""
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite")
+    k = np.arange(1, dist.moments.size)
+    val = 1.0 + 2.0 * float(np.sum((dist.moments[1:] * np.exp(-1j * k * theta)).real))
+    return val / (2 * math.pi)
+
+
+def surrogate_cost(dist) -> float:
+    """Oracle for the surrogate band's quadratic form: the expectation of
+    5/2 - (8/3)cos(theta) + (1/6)cos(2 theta), the sparse pointwise lower
+    bound on theta^2; missing moments count as zero."""
+    m1 = dist.moments[1].real if dist.kmax >= 1 else 0.0
+    m2 = dist.moments[2].real if dist.kmax >= 2 else 0.0
+    return 2.5 - (8.0 / 3.0) * m1 + (1.0 / 6.0) * m2
+
+
+def band_of(dense) -> SymmetricBand:
+    """A square matrix as a full-width SymmetricBand: band row k is its k-th
+    superdiagonal, so only the upper triangle is read."""
+    n = len(dense)
+    band = np.zeros((n, n), order="F")
+    for k in range(n):
+        band[k, : n - k] = np.diagonal(dense, k)
+    return SymmetricBand(band)
+
+
+def dense_elements(povm) -> np.ndarray:
+    """The (n_outcomes, dim, dim) elements of any POM; a vector POM's are
+    u_j u_j^H from its rows u_j."""
+    if povm.vectors is None:
+        return povm.elements
+    u = povm.vectors
+    return u[:, :, None] * u.conj()[:, None, :]
 
 
 def random_povm(rng, dim, n_outcomes) -> EstimatePOM:
@@ -49,7 +86,7 @@ def covariant_seed(povm) -> np.ndarray:
     error distribution equals that of ``povm``.  The covariant family is
     complete exactly when diag(2*pi*seed) is the all-ones vector."""
     phases = np.exp(1j * np.outer(povm.estimates, np.arange(povm.dim)))  # (j, n)
-    return np.einsum("jn,jnm,jm->nm", phases, povm.elements, phases.conj()) / (2 * math.pi)
+    return np.einsum("jn,jnm,jm->nm", phases, dense_elements(povm), phases.conj()) / (2 * math.pi)
 
 
 def covariant_moments(seed, state) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from phaselimit import ValidationError, kphase_construction, make_state, optimizer
 from phaselimit.cli import _curve_csv, _load_povm, main
+from conftest import dense_elements
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +308,26 @@ class TestBadInput:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "content",
+        [b"[[1,0],", b"[" * 200000, b"\xff\xfe[[1,0]]"],
+        ids=["truncated", "deep", "utf16"],
+    )
+    def test_state_file_not_json_names_the_file(self, capsys, tmp_path, content):
+        # the path exists, so the message names the file, not inline JSON
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "bounds", "--state", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read state file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_inline_state_not_json(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--state", "[[1,0],")
+        assert code == 1 and out == ""
+        assert err.startswith("error: state is neither a file nor valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv, cap",
         [(("optimize", "--mean", "1e308"), 4096),
          (("curve", "--kind", "surrogate", "--means", "1,1e308"), 1048576)],
@@ -358,7 +379,7 @@ class TestSimulate:
         dense = {
             "outcomes": [
                 {"estimate": float(e), "matrix": [[[v.real, v.imag] for v in row] for row in m]}
-                for e, m in zip(pom.estimates, pom.elements)
+                for e, m in zip(pom.estimates, dense_elements(pom))
             ]
         }
         sims = []

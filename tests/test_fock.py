@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from phaselimit import (
     GeneratorSpec,
-    NumberDistribution,
     ProbeState,
     ValidationError,
     generator_eigenvalue,
     make_state,
     mean_number,
-    number_distribution,
     number_entropy,
     reduce_to_single_mode,
     thermal_entropy,
@@ -69,28 +67,21 @@ class TestMakeState:
 
 
 class TestNumberDistribution:
+    """p_n = |c_n|^2, which mean_number and number_entropy read."""
+
     def test_equal_superposition(self):
-        p = number_distribution(make_state([1, 1]))
-        assert np.allclose(p.probabilities, [0.5, 0.5])
+        assert np.allclose(np.abs(make_state([1, 1]).amplitudes) ** 2, [0.5, 0.5])
 
     def test_vacuum(self):
-        assert np.allclose(number_distribution(make_state([1])).probabilities, [1.0])
+        assert np.allclose(np.abs(make_state([1]).amplitudes) ** 2, [1.0])
 
     def test_complex_amplitudes(self):
-        p = number_distribution(make_state([3, 4j]))
-        assert np.allclose(p.probabilities, [0.36, 0.64])
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValidationError):
-            NumberDistribution(np.array([0.5, 0.4]))
-        with pytest.raises(ValidationError):
-            NumberDistribution(np.array([1.2, -0.2]))
-
-    @pytest.mark.parametrize("probs", [[math.nan], [0.5, math.nan, 0.5]])
-    def test_nan_rejected(self, probs):
-        # NaN fails both the sign and the sum test, so it needs its own check
-        with pytest.raises(ValidationError, match="finite"):
-            NumberDistribution(np.array(probs))
+        s = make_state([3, 4j])
+        assert np.allclose(np.abs(s.amplitudes) ** 2, [0.36, 0.64])
+        assert mean_number(s) == pytest.approx(0.64, abs=1e-15)
+        assert number_entropy(s) == pytest.approx(
+            -(0.36 * math.log(0.36) + 0.64 * math.log(0.64)), abs=1e-15
+        )
 
 
 class TestMeanNumber:
@@ -147,10 +138,7 @@ class TestPhaseInvariance:
     def test_global_phase_irrelevant(self, rng):
         s = random_state(rng, 12)
         rotated = ProbeState(s.amplitudes * np.exp(1j * 0.7))
-        assert np.allclose(
-            number_distribution(s).probabilities,
-            number_distribution(rotated).probabilities,
-        )
+        assert np.allclose(np.abs(s.amplitudes) ** 2, np.abs(rotated.amplitudes) ** 2)
         assert mean_number(s) == pytest.approx(mean_number(rotated), abs=1e-12)
         assert number_entropy(s) == pytest.approx(number_entropy(rotated), abs=1e-12)
 
@@ -174,6 +162,43 @@ class TestGeneratorEigenvalue:
             generator_eigenvalue(spec, (3, 0))
         with pytest.raises(ValidationError):
             generator_eigenvalue(spec, (1,))
+
+
+class TestGeneratorIntegers:
+    """Pass counts, cutoffs, the exponent and occupations are an int or a
+    numpy integer: a float is refused, not truncated, and a bool is refused,
+    not taken as 1."""
+
+    @pytest.mark.parametrize(
+        "passes, exponent, cutoffs",
+        [
+            ((1,), 1.5, (3,)),
+            ((2.7,), 1, (3,)),
+            ((1,), 1, (2.9,)),
+            ((1,), True, (3,)),
+            ((True,), 1, (3,)),
+            ((1,), 1, (True,)),
+        ],
+        ids=["float-exponent", "float-passes", "float-cutoffs",
+             "bool-exponent", "bool-passes", "bool-cutoffs"],
+    )
+    def test_non_integer_refused(self, passes, exponent, cutoffs):
+        with pytest.raises(ValidationError, match="^passes, exponent and cutoffs must be"):
+            GeneratorSpec(passes, exponent, cutoffs)
+
+    @pytest.mark.parametrize("occupation", [1.7, 1.0, True])
+    def test_occupation_not_an_integer_refused(self, occupation):
+        spec = GeneratorSpec(passes=(1,), exponent=1, cutoffs=(3,))
+        with pytest.raises(ValidationError, match="^occupations must be integers$"):
+            generator_eigenvalue(spec, (occupation,))
+
+    def test_numpy_integers_accepted(self):
+        spec = GeneratorSpec((np.int64(2),), np.int32(3), (np.int64(4),))
+        assert (spec.passes, spec.exponent, spec.cutoffs) == ((2,), 3, (4,))
+        value = generator_eigenvalue(spec, (np.int64(4),))
+        assert value == 128 and type(value) is int
+        reduced = reduce_to_single_mode(spec, np.eye(5)[1])
+        assert np.abs(reduced.amplitudes[2]) == 1.0
 
 
 class TestReduceToSingleMode:

@@ -10,16 +10,13 @@ from phaselimit import (
     ValidationError,
     average_distribution,
     canonical_distribution,
-    density_at,
     differential_entropy,
-    ensemble_length,
     holevo_variance,
     make_state,
     mean_square_deviation,
     number_entropy,
-    surrogate_cost,
 )
-from conftest import msd_quadrature, random_povm, random_state
+from conftest import density_at, msd_quadrature, random_povm, random_state, surrogate_cost
 
 # High-precision quadrature oracle values for the density (1+cos t)/(2 pi)
 # (state (|0>+|1>)/sqrt(2)), frozen from a 40-digit mpmath run:
@@ -86,6 +83,8 @@ class TestCanonicalDistribution:
 
 
 class TestDensityAt:
+    """The pointwise density oracle (conftest) that checks `density_grid`."""
+
     def test_uniform(self):
         for theta in (-3.0, 0.0, 1.5):
             assert density_at(UNIFORM, theta) == pytest.approx(1 / (2 * math.pi))
@@ -277,16 +276,18 @@ class TestDifferentialEntropy:
 
 
 class TestEnsembleLength:
+    """The ensemble length exp(H(Theta)) that `simulate` reports."""
+
     def test_uniform(self):
-        assert ensemble_length(UNIFORM) == pytest.approx(2 * math.pi, abs=1e-10)
+        assert math.exp(differential_entropy(UNIFORM)) == pytest.approx(2 * math.pi, abs=1e-10)
 
     def test_half_half(self):
-        assert ensemble_length(HALF_HALF) == pytest.approx(L_HALF_HALF, abs=1e-7)
+        assert math.exp(differential_entropy(HALF_HALF)) == pytest.approx(L_HALF_HALF, abs=1e-7)
 
     def test_monotone_decrease_toward_concentration(self):
         # zero-touching oscillatory densities need a finer entropy grid
         lengths = [
-            ensemble_length(canonical_distribution(make_state(np.ones(d))), 65536)
+            math.exp(differential_entropy(canonical_distribution(make_state(np.ones(d))), 65536))
             for d in (1, 2, 4, 8, 16, 32)
         ]
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
@@ -294,6 +295,8 @@ class TestEnsembleLength:
 
 
 class TestSurrogateCost:
+    """The surrogate-cost oracle (conftest) that checks the surrogate band."""
+
     def test_uniform(self):
         assert surrogate_cost(UNIFORM) == pytest.approx(2.5)
 
