@@ -30,13 +30,9 @@ import sys
 
 from . import bounds, fock, optimizer, phasedist, povm
 from .errors import ConvergenceError, ValidationError
+from .optimizer import CURVE_COLUMNS
 
 SCHEMA = "phaselimit/1"
-
-CURVE_COLUMNS = [
-    "mean", "dim", "lambda", "cost", "delta", "product",
-    "tail_mass", "residual", "iterations",
-]
 
 
 def _emit(text: str, out_path: str | None):
@@ -70,7 +66,7 @@ def _load_state(spec: str) -> fock.ProbeState:
         try:
             with open(spec) as fh:
                 data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"cannot read state file {spec}: {exc}") from exc
     else:
         try:

@@ -83,7 +83,10 @@ class GeneratorSpec:
     cutoffs: tuple
 
     def __post_init__(self):
-        passes, cutoffs = tuple(self.passes), tuple(self.cutoffs)
+        try:
+            passes, cutoffs = tuple(self.passes), tuple(self.cutoffs)
+        except TypeError as exc:
+            raise ValidationError("passes and cutoffs must be sequences of integers") from exc
         if not all(_is_integer(v) for v in (*passes, *cutoffs, self.exponent)):
             raise ValidationError("passes, exponent and cutoffs must be integers")
         # held as Python ints, whose eigenvalue sums cannot wrap as numpy's can
@@ -152,7 +155,10 @@ def thermal_entropy(nbar: float) -> float:
 
 def generator_eigenvalue(spec: GeneratorSpec, occupations) -> int:
     """Eigenvalue sum_k p_k * n_k**q for a joint occupation tuple."""
-    occ = tuple(occupations)
+    try:
+        occ = tuple(occupations)
+    except TypeError as exc:
+        raise ValidationError("occupations must be a sequence of integers") from exc
     if not all(_is_integer(n) for n in occ):
         raise ValidationError("occupations must be integers")
     occ = tuple(int(n) for n in occ)
@@ -173,10 +179,13 @@ def reduce_to_single_mode(spec: GeneratorSpec, multimode_amplitudes) -> ProbeSta
     eigenvalue m; phases are discarded since only the distribution of N
     enters the bounds.
     """
-    amps = np.asarray(multimode_amplitudes, dtype=complex)
-    if amps.ndim != 1 or amps.size != spec.joint_dim:
+    try:
+        amps = np.asarray(multimode_amplitudes, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed joint amplitudes: {exc}") from exc
+    if amps.shape != (spec.joint_dim,):
         raise ValidationError(
-            f"expected {spec.joint_dim} joint amplitudes, got {amps.size}"
+            f"expected a vector of {spec.joint_dim} joint amplitudes, got shape {amps.shape}"
         )
     norm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(norm2 - 1.0) > NORM_TOL:

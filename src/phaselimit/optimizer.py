@@ -25,7 +25,7 @@ sigma below the spectrum.  Each multiplier's eigensolve starts from the
 previous multiplier's eigenvector, which puts the first shift just below
 the new smallest eigenvalue.
 Along a curve (figure2_curve) a point close above its predecessor continues
-from it (predictor-corrector continuation; see _continuation).
+from its result (predictor-corrector continuation; see _first_multiplier).
 scipy (BLAS and LAPACK) is imported by the first eigensolve, not with the
 package, so commands that solve nothing start without it.
 """
@@ -82,6 +82,8 @@ class OptimizationResult:
     tail_mass: float
     residual: float
     iterations: int
+    # the last secant slope d log(mean+1)/d log(lambda); None at lambda = 0
+    slope: float | None
 
     def to_json(self) -> dict:
         return {
@@ -350,10 +352,10 @@ def solve_at_multiplier(kind: CostKind, dim: int, lam: float, start=None):
 def _vacuum_result(kind: CostKind, dim: int) -> OptimizationResult:
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
-    cost = float(cost_matrix(kind, 1)[0, 0])
+    cost = float(_cost_band(kind, 1, 0.0).band[0, 0])
     return OptimizationResult(
         state=ProbeState(amps), cost=cost, achieved_mean=0.0, lam=0.0,
-        eigenvalue=cost, dim=dim, tail_mass=0.0, residual=0.0, iterations=0,
+        eigenvalue=cost, dim=dim, tail_mass=0.0, residual=0.0, iterations=0, slope=None,
     )
 
 
@@ -363,23 +365,13 @@ def default_dim(target_mean: float) -> int:
     return max(64, math.ceil(min(8 * target_mean, 2.0**62)))
 
 
-@dataclass
-class _CurvePoint:
-    """The last point of a curve, which figure2_curve carries into its next
-    point's search: that point's result and its search's final secant
-    slope (None if the search ended at lambda = 0)."""
-
-    result: OptimizationResult | None = None
-    slope: float | None = None
-
-
 def optimize_at_mean(
     kind: CostKind,
     target_mean: float,
     dim: int | None = None,
     mean_tol: float = 1e-8,
     *,
-    _curve: _CurvePoint | None = None,
+    _previous: OptimizationResult | None = None,
 ) -> OptimizationResult:
     """Global minimum of the cost over probe states with the given mean.
 
@@ -389,14 +381,15 @@ def optimize_at_mean(
     mean_tol*(1+target_mean) of the target.  A target above the
     unconstrained mean (dim-1)/2 by more than that tolerance raises
     ValidationError before any eigensolve; one within it is answered by the
-    lambda = 0 solve alone.  ``iterations`` counts every eigensolve.  With
+    lambda = 0 solve alone.  ``iterations`` counts every eigensolve and
+    ``slope`` is the search's last secant slope (None at lambda = 0).  With
     ``dim`` None the search runs at default_dim(target_mean), refused with
     ValidationError if the kind's cap would clip it, and a tail mass not
     below TAIL_TOL raises ConvergenceError; an explicit ``dim`` is a hard
     truncation whose tail_mass the caller reads.  The first eigensolve
     starts from min_eigenpair's fixed pseudo-random vector, so every run
-    gives the same result, unless ``_curve``, figure2_curve's own, lets
-    _continuation start from its point; the call leaves its own point there.
+    gives the same result, unless ``_previous``, the result of the point
+    before on figure2_curve, lets _first_multiplier continue from it.
     """
     if not math.isfinite(target_mean) or target_mean < 0:
         raise ValidationError("target mean must be finite and nonnegative")
@@ -406,13 +399,53 @@ def optimize_at_mean(
     dim = _start_dim(kind, target_mean, dim, mean_tol)
     if target_mean == 0:
         return _vacuum_result(kind, dim)
-    start = _continuation(_curve, target_mean, dim)
-    result, slope = _solve_fixed_dim(kind, target_mean, dim, mean_tol, start)
-    if auto_dim and not result.tail_mass < TAIL_TOL:
-        raise ConvergenceError(f"tail mass {result.tail_mass:.3e} >= {TAIL_TOL} at dim {dim}")
-    if _curve is not None:
-        _curve.result, _curve.slope = result, slope
-    return result
+    tol = mean_tol * (1.0 + target_mean)
+    # Secant on y = log(mean+1) against x = log(lambda), kept inside the
+    # bracket lo < lambda < hi of the multipliers tried so far (the mean is
+    # nonincreasing in lambda), each solve started from the last eigenvector.
+    v, lam, slope = _first_multiplier(_previous, target_mean, dim, tol)
+    y_target = math.log1p(target_mean)
+    lo, hi = 0.0, math.inf
+    last = None
+    iterations = 0
+    while True:
+        mu, v, mean, residual = solve_at_multiplier(kind, dim, lam, start=v)
+        iterations += 1
+        if lam == 0.0:
+            break
+        x, y = math.log(lam), math.log1p(mean)
+        if last is not None and x != last[0]:
+            secant = (y - last[1]) / (x - last[0])
+            slope = secant if secant < 0 else ASYMPTOTIC_SLOPE
+        if abs(mean - target_mean) <= tol:
+            break
+        if mean > target_mean:
+            lo = lam
+        else:
+            hi = lam
+        if iterations >= MAX_MULTIPLIER_STEPS:
+            raise ConvergenceError(
+                f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
+                f"after {iterations} eigensolves"
+            )
+        last = (x, y)
+        lam = _next_multiplier(lam, (y_target - y) / slope, lo, hi)
+
+    tail_mass = float(np.sum(v[max(dim - 2, 0):] ** 2))
+    if auto_dim and not tail_mass < TAIL_TOL:
+        raise ConvergenceError(f"tail mass {tail_mass:.3e} >= {TAIL_TOL} at dim {dim}")
+    return OptimizationResult(
+        state=ProbeState(v.astype(complex)),
+        cost=float(mu - lam * mean),
+        achieved_mean=mean,
+        lam=float(lam),
+        eigenvalue=float(mu),
+        dim=dim,
+        tail_mass=tail_mass,
+        residual=residual,
+        iterations=iterations,
+        slope=slope,
+    )
 
 
 def _start_dim(kind, target_mean, dim, mean_tol):
@@ -440,89 +473,27 @@ def _start_dim(kind, target_mean, dim, mean_tol):
     return dim
 
 
-def _continuation(curve, target_mean, dim):
-    """Start (vector, lambda, slope) for the search at ``target_mean`` from
-    the previous point of a curve, or None to start cold.
-
-    Continues only from a point at most a factor 2 below in mean+1 whose
-    final secant slope s = d log(mean+1)/d log(lambda) lies in
-    CONTINUATION_SLOPES; the first multiplier is then the previous one moved
-    along that slope to the target, and the first eigensolve starts from
-    the previous eigenvector, zero-padded or truncated to ``dim``.
-    """
-    if curve is None or curve.slope is None:
-        return None
-    result, slope = curve.result, curve.slope
-    step = math.log1p(target_mean) - math.log1p(result.achieved_mean)
-    low, high = CONTINUATION_SLOPES
-    if not (step <= LOG2 and low <= slope <= high):
-        return None
-    v = np.zeros(dim)
-    n = min(dim, result.dim)
-    v[:n] = result.state.amplitudes[:n].real
-    return v, result.lam * math.exp(step / slope), slope
-
-
-def _solve_fixed_dim(kind, target_mean, dim, mean_tol, start=None):
-    """Multiplier search at one dimension: the result and the search's final
-    secant slope (None at lambda = 0).  ``start`` is a (vector, lambda,
-    slope) from _continuation, or None to start from the asymptote.  A
-    target within the tolerance of the unconstrained mean (dim-1)/2 (see
-    _start_dim) is answered by the lambda = 0 solve."""
-    tol = mean_tol * (1.0 + target_mean)
-    iterations = 0
-    # Secant on y = log(mean+1) against x = log(lambda), started on the
-    # large-mean asymptote (or continued from a neighbouring point) and kept
-    # inside the bracket lo < lambda < hi of the multipliers tried so far
-    # (the mean is nonincreasing in lambda).  Each multiplier's eigensolve
-    # starts from the previous multiplier's eigenvector.
-    y_target = math.log1p(target_mean)
-    lo, hi = 0.0, math.inf
+def _first_multiplier(previous, target_mean, dim, tol):
+    """The search's start (vector or None, lambda, slope).  A target within
+    ``tol`` of the unconstrained mean (dim-1)/2 (see _start_dim) starts, and
+    ends, at lambda = 0 with no slope.  A target continues from ``previous``
+    if that point's mean+1 is at most a factor 2 below and its slope lies in
+    CONTINUATION_SLOPES: the multiplier is the previous one moved along the
+    slope to the target, and the vector the previous eigenvector,
+    zero-padded or truncated to ``dim``.  Otherwise it starts cold on the
+    large-mean asymptote lambda ~ 2 k_C^2/(mean+1)^3, slope -1/3, from
+    min_eigenpair's fixed vector."""
     if target_mean >= (dim - 1) / 2 - tol:
-        v, lam, slope = None, 0.0, None
-    elif start is None:
-        lam = 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3
-        slope = ASYMPTOTIC_SLOPE
-        v = None
-    else:
-        v, lam, slope = start
-    last = None
-    while True:
-        mu, v, mean, residual = solve_at_multiplier(kind, dim, lam, start=v)
-        iterations += 1
-        if lam == 0.0:
-            break
-        x, y = math.log(lam), math.log1p(mean)
-        if last is not None and x != last[0]:
-            secant = (y - last[1]) / (x - last[0])
-            slope = secant if secant < 0 else ASYMPTOTIC_SLOPE
-        if abs(mean - target_mean) <= tol:
-            break
-        if mean > target_mean:
-            lo = lam
-        else:
-            hi = lam
-        if iterations >= MAX_MULTIPLIER_STEPS:
-            raise ConvergenceError(
-                f"mean {mean:.12g} not within {tol:.1e} of target {target_mean:.12g} "
-                f"after {iterations} eigensolves"
-            )
-        last = (x, y)
-        lam = _next_multiplier(lam, (y_target - y) / slope, lo, hi)
-
-    cost = mu - lam * mean
-    tail_mass = float(np.sum(v[max(dim - 2, 0):] ** 2))
-    return OptimizationResult(
-        state=ProbeState(v.astype(complex)),
-        cost=float(cost),
-        achieved_mean=mean,
-        lam=float(lam),
-        eigenvalue=float(mu),
-        dim=dim,
-        tail_mass=tail_mass,
-        residual=residual,
-        iterations=iterations,
-    ), slope
+        return None, 0.0, None
+    if previous is not None and previous.slope is not None:
+        step = math.log1p(target_mean) - math.log1p(previous.achieved_mean)
+        low, high = CONTINUATION_SLOPES
+        if step <= LOG2 and low <= previous.slope <= high:
+            v = np.zeros(dim)
+            n = min(dim, previous.dim)
+            v[:n] = previous.state.amplitudes[:n].real
+            return v, previous.lam * math.exp(step / previous.slope), previous.slope
+    return None, 2.0 * bounds.k_C() ** 2 / (target_mean + 1.0) ** 3, ASYMPTOTIC_SLOPE
 
 
 def _next_multiplier(lam, step, lo, hi):
@@ -542,24 +513,30 @@ def _next_multiplier(lam, step, lo, hi):
     return math.sqrt(lo) * math.sqrt(hi)
 
 
+CURVE_COLUMNS = [
+    "mean", "dim", "lambda", "cost", "delta", "product",
+    "tail_mass", "residual", "iterations",
+]
+
+
 def figure2_curve(
     kind: CostKind,
     means,
     dim: int | None = None,
     mean_tol: float = 1e-8,
 ) -> list[dict]:
-    """Minimum-product curve rows, one per requested mean, in input order.
+    """Minimum-product curve rows, one per requested mean, in input order,
+    each a dict keyed by CURVE_COLUMNS in that order.
 
     product = (mean+1)*sqrt(cost), matching the <N+1> delta-Phi axis.
-    Each point is one optimize_at_mean call.  The first is solved cold;
-    each later one continues from the previous point (its multiplier, final
-    secant slope and eigenvector; see the module docstring) when its mean+1
-    is at most twice the previous and that slope lies in
-    CONTINUATION_SLOPES, and otherwise is solved cold.  A continued row
-    meets the same mean tolerance, tail and residual certificates, but may
-    differ from a cold optimize_at_mean's row within the mean tolerance, and
-    its ``iterations`` counts its own, usually fewer, eigensolves.  Every
-    mean is checked by _start_dim before any point is solved.
+    Each point is one optimize_at_mean call given the previous point's
+    result, which _first_multiplier continues from when the two lie close;
+    the first point, and any other, is otherwise solved cold.  A continued
+    row meets the same mean tolerance, tail and residual certificates, but
+    may differ from a cold optimize_at_mean's row within the mean
+    tolerance, and its ``iterations`` counts its own, usually fewer,
+    eigensolves.  Every mean is checked by _start_dim before any point is
+    solved.
     """
     means = [float(m) for m in means]
     if not all(math.isfinite(m) and m > 0 for m in means) or any(
@@ -569,12 +546,11 @@ def figure2_curve(
     for mean in means:
         _start_dim(kind, mean, dim, mean_tol)
 
-    curve = _CurvePoint()
-
-    def run(mean):
-        res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol, _curve=curve)
+    rows, res = [], None
+    for mean in means:
+        res = optimize_at_mean(kind, mean, dim=dim, mean_tol=mean_tol, _previous=res)
         delta = math.sqrt(res.cost)
-        return {
+        rows.append({
             "mean": res.achieved_mean,
             "dim": res.dim,
             "lambda": res.lam,
@@ -584,6 +560,5 @@ def figure2_curve(
             "tail_mass": res.tail_mass,
             "residual": res.residual,
             "iterations": res.iterations,
-        }
-
-    return [run(m) for m in means]
+        })
+    return rows

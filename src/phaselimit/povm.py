@@ -148,13 +148,17 @@ class EstimatePOM:
     def from_json(cls, data) -> "EstimatePOM":
         """Read ``{"outcomes": [{"estimate": e, "matrix" or "vector": ...}]}``.
 
-        A file whose outcomes all carry "vector" gives a vector POM; one that
-        mixes the two forms is read as dense, each vector u as u u^H.
+        Each outcome carries exactly one of "matrix" and "vector".  A file
+        whose outcomes all carry "vector" gives a vector POM; one that mixes
+        the two forms is read as dense, each vector u as u u^H.
         """
         try:
             outcomes = data["outcomes"]
             if not all(type(o["estimate"]) in (int, float) for o in outcomes):
                 raise ValueError("every estimate must be a JSON number")
+            for j, o in enumerate(outcomes):
+                if ("matrix" in o) == ("vector" in o):
+                    raise ValueError(f'outcome {j} must have exactly one of "matrix" and "vector"')
             est = np.array([float(o["estimate"]) for o in outcomes])
             if all("matrix" not in o for o in outcomes):
                 form = {"vectors": np.array([_from_pairs(o["vector"]) for o in outcomes])}

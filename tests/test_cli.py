@@ -321,6 +321,12 @@ class TestBadInput:
         assert err.startswith(f"error: cannot read state file {path}: ")
         assert err.count("\n") == 1
 
+    def test_state_path_is_a_directory_names_the_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "bounds", "--state", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read state file {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_inline_state_not_json(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--state", "[[1,0],")
         assert code == 1 and out == ""

@@ -192,6 +192,20 @@ class TestGeneratorIntegers:
         with pytest.raises(ValidationError, match="^occupations must be integers$"):
             generator_eigenvalue(spec, (occupation,))
 
+    @pytest.mark.parametrize(
+        "passes, cutoffs",
+        [(1, (3,)), ((1,), 3), (None, (3,))],
+        ids=["bare-passes", "bare-cutoffs", "none-passes"],
+    )
+    def test_non_sequence_refused(self, passes, cutoffs):
+        with pytest.raises(ValidationError, match="^passes and cutoffs must be sequences"):
+            GeneratorSpec(passes, 1, cutoffs)
+
+    def test_bare_occupation_refused(self):
+        spec = GeneratorSpec(passes=(1,), exponent=1, cutoffs=(3,))
+        with pytest.raises(ValidationError, match="^occupations must be a sequence"):
+            generator_eigenvalue(spec, 2)
+
     def test_numpy_integers_accepted(self):
         spec = GeneratorSpec((np.int64(2),), np.int32(3), (np.int64(4),))
         assert (spec.passes, spec.exponent, spec.cutoffs) == ((2,), 3, (4,))
@@ -242,6 +256,16 @@ class TestReduceToSingleMode:
             reduce_to_single_mode(spec, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(ValidationError):
             reduce_to_single_mode(spec, np.array([1.0, 0.0]))
+
+    def test_wrong_shape_names_the_shape(self):
+        spec = GeneratorSpec(passes=(1, 1), exponent=1, cutoffs=(1, 1))
+        with pytest.raises(ValidationError, match=r"got shape \(1, 4\)$"):
+            reduce_to_single_mode(spec, [[1, 0, 0, 0]])
+
+    def test_non_numeric_amplitudes_refused(self):
+        spec = GeneratorSpec(passes=(1, 1), exponent=1, cutoffs=(1, 1))
+        with pytest.raises(ValidationError, match="^malformed joint amplitudes"):
+            reduce_to_single_mode(spec, "abcd")
 
     @pytest.mark.parametrize(
         "passes, exponent, cutoffs",

@@ -27,7 +27,7 @@ from phaselimit import (
     optimizer,
     solve_at_multiplier,
 )
-from phaselimit.optimizer import SymmetricBand, _cost_band, _next_multiplier
+from phaselimit.optimizer import CURVE_COLUMNS, SymmetricBand, _cost_band, _next_multiplier
 from conftest import band_of, surrogate_cost
 
 # Frozen oracle: brute-force random search over real dim-3/4 states with
@@ -285,6 +285,30 @@ class TestMinEigenpair:
         assert mu == pytest.approx(vals[0], abs=1e-12)
         assert abs(v @ vecs[:, 0]) >= 1 - 1e-10
         assert residual < 1e-12
+
+    @staticmethod
+    def _start_off_lowest(rows):
+        # diag(1, 2, 11, ..., 11) at dim 300 as a band of ``rows`` rows, and
+        # a start cos(pi/8) e_1 + sin(pi/8) u with u uniform over indices
+        # 2..299: no component along e_0, the lowest eigenvector
+        dim = 300
+        band = np.zeros((rows, dim), order="F")
+        band[0] = [1.0, 2.0] + [11.0] * (dim - 2)
+        u = np.zeros(dim)
+        u[2:] = 1.0 / math.sqrt(dim - 2)
+        start = math.cos(math.pi / 8) * np.eye(dim)[1] + math.sin(math.pi / 8) * u
+        return min_eigenpair(SymmetricBand(band), start=start)[0]
+
+    def test_start_off_lowest_one_row_band_returns_lowest(self):
+        # the same diagonal as a 1-row band
+        assert self._start_off_lowest(1) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="known defect: ends on mu = 2 (ROADMAP item 2)")
+    def test_start_off_lowest_full_width_band_returns_lowest(self):
+        # the same matrix as a full-width band, the form of every exact-cost
+        # band: the start's first shift succeeds and no later one fails, so
+        # the iteration ends on the eigenpair at 2
+        assert self._start_off_lowest(300) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [3, 300])
     def test_start_at_second_eigenvector_close_above_returns_lowest(self, dim):
@@ -997,6 +1021,25 @@ class TestContinuation:
         cold = cold_rows(CostKind.EXACT_SQUARE, means)
         assert rows[0] == cold[0]
         assert sum(r["iterations"] for r in rows) < sum(r["iterations"] for r in cold)
+
+    def test_result_slope(self):
+        # the slope a curve's next point continues along, None at lambda = 0;
+        # neither the JSON nor a curve row writes it
+        at_zero = [
+            optimize_at_mean(CostKind.EXACT_SQUARE, 0.0),
+            optimize_at_mean(CostKind.SURROGATE, 1.5, dim=4),  # (dim-1)/2
+        ]
+        cold = optimize_at_mean(CostKind.EXACT_SQUARE, 3.0)
+        searched = [
+            cold,
+            optimize_at_mean(CostKind.SURROGATE, 1.0, dim=4),
+            optimize_at_mean(CostKind.EXACT_SQUARE, 3.5, _previous=cold),
+        ]
+        assert all(res.lam == 0.0 and res.slope is None for res in at_zero)
+        assert all(res.lam > 0.0 and res.slope < 0.0 for res in searched)
+        assert all("slope" not in res.to_json() for res in at_zero + searched)
+        rows = figure2_curve(CostKind.EXACT_SQUARE, [1.0, 1.5])
+        assert all(list(row) == CURVE_COLUMNS for row in rows)
 
     def test_decade_spaced_curve_runs_cold(self):
         means = [0.4, 4, 40, 400]

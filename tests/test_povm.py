@@ -201,6 +201,19 @@ class TestVectorPOM:
         assert povm.vectors is None
         np.testing.assert_array_equal(povm.elements, [np.diag([1, 0]), np.diag([0, 1])])
 
+    @pytest.mark.parametrize(
+        "outcome",
+        [{"estimate": 0, "matrix": [[[1, 0]]], "vector": [[1, 0]]}, {"estimate": 0}],
+        ids=["both", "neither"],
+    )
+    def test_outcome_needs_exactly_one_form(self, outcome):
+        data = {"outcomes": [{"estimate": 1.0, "vector": [[0, 0]]}, outcome]}
+        with pytest.raises(
+            ValidationError,
+            match=r'^malformed POM data: outcome 1 must have exactly one of "matrix" and "vector"$',
+        ):
+            EstimatePOM.from_json(data)
+
     def test_kphase_skips_element_checks(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("element batch checked")
