@@ -77,14 +77,17 @@ def _load_state(spec: str) -> fock.ProbeState:
 
 
 def _load_povm(path: str) -> povm.EstimatePOM:
-    # The parse runs with the cyclic collector paused: the nested lists it
-    # builds hold no cycles, yet their allocation triggers full collections
-    # that took about a third of json.load's time on a 12.7 MB POM file.
+    # Each outcome's [re, im] lists become one float array as soon as the
+    # outcome is parsed (povm._decode_outcome), so the load peaks at about
+    # the file's text plus its elements, not at all of its lists.  The parse
+    # runs with the cyclic collector paused: the lists hold no cycles, yet
+    # allocating them triggers collections, about 22 ms of a 250-300 ms load
+    # of a 12.7 MB file of 64 dense dim-64 outcomes.
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_hook=povm._decode_outcome)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read POM file {path}: {exc}") from exc
     finally:

@@ -33,11 +33,13 @@ its vectors, never both.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError, _is_integer
-from .fock import ProbeState, _from_pairs, _to_pairs, make_state
+from .fock import ProbeState, _to_pairs, make_state
 from .phasedist import PhaseDistribution, _autocorrelation
 
 PSD_EIG_FLOOR = -1e-10
@@ -150,7 +152,9 @@ class EstimatePOM:
 
         Each outcome carries exactly one of "matrix" and "vector".  A file
         whose outcomes all carry "vector" gives a vector POM; one that mixes
-        the two forms is read as dense, each vector u as u u^H.
+        the two forms is read as dense, each vector u as u u^H.  A "matrix"
+        or "vector" value is nested [re, im] pairs, or the float array of
+        those pairs that `_decode_outcome` leaves in place of a parsed one.
         """
         try:
             outcomes = data["outcomes"]
@@ -161,19 +165,73 @@ class EstimatePOM:
                     raise ValueError(f'outcome {j} must have exactly one of "matrix" and "vector"')
             est = np.array([float(o["estimate"]) for o in outcomes])
             if all("matrix" not in o for o in outcomes):
-                form = {"vectors": np.array([_from_pairs(o["vector"]) for o in outcomes])}
+                form = {"vectors": np.array([_complex_array(o["vector"], 1) for o in outcomes])}
             else:
                 els = []
                 for o in outcomes:
                     if "matrix" in o:
-                        els.append([_from_pairs(row) for row in o["matrix"]])
+                        els.append(_complex_array(o["matrix"], 2))
                     else:
-                        u = np.array(_from_pairs(o["vector"]))
-                        els.append(np.outer(u, u.conj()))
+                        u = _complex_array(o["vector"], 1)
+                        with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail below
+                            els.append(np.outer(u, u.conj()))
                 form = {"elements": np.array(els)}
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ValidationError(f"malformed POM data: {exc}") from exc
         return cls(est, **form)
+
+
+def _pair_floats(value, rank: int) -> np.ndarray:
+    """The float array, of shape (n, 2) for rank 1 or (n, m, 2) for rank 2,
+    of ``value``: a vector (rank 1) as a list of [re, im] pairs, or a matrix
+    (rank 2) as a list of equal-length rows of them.
+
+    A float array of that shape is returned as it is.  Otherwise each entry
+    must be a number that complex(re, im) takes (int, float or bool);
+    anything else raises TypeError or ValueError, and an int beyond the
+    float range OverflowError.  No per-entry object is made: the entries go
+    straight from the lists into the array.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == float and value.shape[rank:] == (2,):
+        return value
+    shape, pairs = (len(value),), value
+    if rank == 2:
+        lengths = set(map(len, value))
+        if len(lengths) > 1:
+            raise ValueError("matrix rows differ in length")
+        shape += (lengths.pop() if lengths else 0,)
+        pairs = list(chain.from_iterable(value))
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("every entry must be an [re, im] pair")
+    try:
+        # unary + refuses what float() would take but complex(re, im) does
+        # not: strings
+        flat = np.fromiter(
+            map(operator.pos, chain.from_iterable(pairs)), float, count=2 * len(pairs)
+        )
+    except TypeError as exc:
+        raise TypeError(f"every [re, im] entry must be a number: {exc}") from None
+    return flat.reshape(shape + (2,))
+
+
+def _complex_array(value, rank: int) -> np.ndarray:
+    """The complex vector or matrix written in ``value`` (see `_pair_floats`)."""
+    return np.ascontiguousarray(_pair_floats(value, rank)).view(complex)[..., 0]
+
+
+def _decode_outcome(obj: dict) -> dict:
+    """``json.load`` object hook: an outcome's "matrix" or "vector" becomes
+    its float array of [re, im] pairs as soon as the outcome is parsed, so
+    a file's nested lists are freed one outcome at a time.  A value that
+    does not convert is left as parsed, for `EstimatePOM.from_json` to
+    refuse in its usual order."""
+    for key, rank in (("matrix", 2), ("vector", 1)):
+        if key in obj:
+            try:
+                obj[key] = _pair_floats(obj[key], rank)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
 
 
 def _check_complete(total: np.ndarray):
@@ -183,14 +241,19 @@ def _check_complete(total: np.ndarray):
 
 
 def _validate_elements(block: np.ndarray, start: int):
-    """Hermitian and PSD checks on elements start, start+1, ... at once.
+    """Finiteness, Hermitian and PSD checks on elements start, start+1, ...
+    at once.
 
     A Cholesky factor of M + |PSD_EIG_FLOOR| I exists exactly when the least
     eigenvalue of M exceeds PSD_EIG_FLOOR, up to rounding of order eps*|M|,
     so a block whose factorization fails is re-checked element by element
     with eigvalsh, which makes every rejection.
     """
-    skew = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationError(f"element {start + bad[0]} is not finite")
+    with np.errstate(over="ignore"):  # a finite skew past the float range is inf
+        skew = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     bad = np.flatnonzero(~(skew <= HERMITIAN_TOL))  # NaN counts as bad
     if bad.size:
         raise ValidationError(f"element {start + bad[0]} is not Hermitian")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaselimit import EstimatePOM, ProbeState, SymmetricBand, ValidationError, make_state
+from phaselimit.fock import _from_pairs
 
 
 def random_state(rng, dim, complex_amps=True) -> ProbeState:
@@ -116,6 +117,35 @@ def number_povm(dim, estimates=None) -> EstimatePOM:
         estimates = np.zeros(dim)
     elements = np.array([np.outer(e, e) for e in np.eye(dim, dtype=complex)])
     return EstimatePOM(np.asarray(estimates, dtype=float), elements)
+
+
+def reference_pom_from_json(data) -> EstimatePOM:
+    """Oracle for EstimatePOM.from_json: the reader that decoded every entry
+    as complex(re, im) into nested lists before any array existed (a mixed
+    file's vectors u as np.outer(u, u.conj())), with the same checks in the
+    same order."""
+    try:
+        outcomes = data["outcomes"]
+        if not all(type(o["estimate"]) in (int, float) for o in outcomes):
+            raise ValueError("every estimate must be a JSON number")
+        for j, o in enumerate(outcomes):
+            if ("matrix" in o) == ("vector" in o):
+                raise ValueError(f'outcome {j} must have exactly one of "matrix" and "vector"')
+        est = np.array([float(o["estimate"]) for o in outcomes])
+        if all("matrix" not in o for o in outcomes):
+            form = {"vectors": np.array([_from_pairs(o["vector"]) for o in outcomes])}
+        else:
+            els = []
+            for o in outcomes:
+                if "matrix" in o:
+                    els.append([_from_pairs(row) for row in o["matrix"]])
+                else:
+                    u = np.array(_from_pairs(o["vector"]))
+                    els.append(np.outer(u, u.conj()))
+            form = {"elements": np.array(els)}
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ValidationError(f"malformed POM data: {exc}") from exc
+    return EstimatePOM(est, **form)
 
 
 @pytest.fixture

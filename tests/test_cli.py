@@ -5,14 +5,17 @@ import json
 import math
 import os
 import stat
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from phaselimit import ValidationError, kphase_construction, make_state, optimizer
+from phaselimit import EstimatePOM, ValidationError, kphase_construction, make_state, optimizer
 from phaselimit.cli import _curve_csv, _load_povm, main
-from conftest import dense_elements
+from phaselimit.fock import _to_pairs
+from conftest import dense_elements, random_povm, reference_pom_from_json
 
 
 def run_cli(capsys, *argv):
@@ -488,7 +491,7 @@ FUZZ_OPTIONS = {
         (
             "--povm",
             ["@pom.json", "@pom-k2.json"],
-            BAD_FILES + ["@state.json", "@pom-ragged.json"],
+            BAD_FILES + ["@state.json", "@pom-ragged.json", "@pom-inf.json"],
         ),
         ("--state", GOOD_STATES, BAD_STATES),
         ("--grid", ["64", "8192"], EDGES),
@@ -527,6 +530,8 @@ def fuzz_dir(tmp_path_factory):
             {"estimate": 0, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
             {"estimate": 1, "matrix": [[[0.5, 0]]]},
         ]}),
+        # an entry that parses to inf
+        "pom-inf.json": '{"outcomes": [{"estimate": 0, "matrix": [[[1e400, 0]]]}]}',
     }
     for name, text in files.items():
         (d / name).write_text(text)
@@ -552,11 +557,17 @@ def fuzzed_argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(argv=fuzzed_argv())
+# a non-finite element is refused before the Hermitian test would warn
+@example(argv=["simulate", "--povm", "@pom-inf.json", "--state", "[[1,0]]"])
 def test_fuzzed_argv_exits_with_one_line(fuzz_dir, argv):
     argv = [os.path.join(fuzz_dir, a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    # a warning would print to stderr as well
+    assert not caught, [str(w.message) for w in caught]
     err = err.getvalue()
     assert code in (0, 1, 2)
     if code == 0:
@@ -566,3 +577,119 @@ def test_fuzzed_argv_exits_with_one_line(fuzz_dir, argv):
     assert err.startswith("error: " if code == 1 else "non-convergence: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert out.getvalue() == ""
+
+
+# Entries a POM file may hold in place of a number: the ints and bools that
+# complex(re, im) takes, and what it refuses (ints past the float range too).
+POM_ENTRIES = ["1", None, [1.0], {"re": 1}, 2**1024, -(2**1024), 10**400,
+               math.nan, math.inf, -math.inf, 2**53 + 1, True, False, 0, 1]
+
+
+@st.composite
+def pom_texts(draw):
+    """A POM file's text: the rows of a unitary, each outcome written as a
+    "matrix" or a "vector", then up to two entries, pairs or rows spoiled."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        u = np.eye(dim, dtype=complex)  # entries 0 and 1, which ints and bools can stand for
+    else:
+        z = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((dim, 2 * dim))
+        u = np.linalg.qr(z[:, :dim] + 1j * z[:, dim:])[0]
+    outcomes = []
+    for j in range(dim):
+        if draw(st.booleans()):
+            outcomes.append({"estimate": float(j), "vector": _to_pairs(u[j])})
+        else:
+            outcomes.append({"estimate": float(j), "matrix": _to_pairs(np.outer(u[j], u[j].conj()))})
+    for _ in range(draw(st.integers(0, 2))):
+        o = draw(st.sampled_from(outcomes))
+        pairs = o["vector"] if "vector" in o else draw(st.sampled_from(o["matrix"]))
+        if not pairs:
+            continue
+        i = draw(st.integers(0, len(pairs) - 1))
+        spoil = draw(st.sampled_from(["entry", "short", "long", "nested", "text", "drop"]))
+        if spoil == "drop":  # a ragged row, or a short vector
+            del pairs[i]
+        elif spoil == "text":
+            pairs[i] = "12"
+        elif not isinstance(pairs[i], list):
+            continue
+        elif spoil == "entry":
+            pairs[i][draw(st.integers(0, len(pairs[i]) - 1))] = draw(st.sampled_from(POM_ENTRIES))
+        elif spoil == "short":
+            pairs[i] = pairs[i][:1]
+        elif spoil == "long":
+            pairs[i] = pairs[i] + [0.0]
+        else:
+            pairs[i] = [pairs[i], pairs[i]]
+    return json.dumps({"outcomes": outcomes})
+
+
+@pytest.fixture(scope="module")
+def pom_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pom")
+
+
+def _pom_or_none(load):
+    try:
+        return load()
+    except ValidationError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=pom_texts())
+def test_pom_reader_matches_reference(pom_dir, text):
+    # the file reader and from_json accept exactly what the per-entry
+    # complex(re, im) reader accepted, with the same bits, and refuse the
+    # rest with one error line
+    path = pom_dir / "pom.json"
+    path.write_text(text)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's outer products
+            expected = reference_pom_from_json(json.loads(text))
+    except ValidationError:
+        expected = None
+    # drops can leave a smaller POM that is still valid
+    state = json.dumps([[1, 0]] + [[0, 0]] * (expected.dim - 1 if expected else 0))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--povm", str(path), "--state", state])
+        got = [
+            _pom_or_none(lambda: _load_povm(str(path))),
+            _pom_or_none(lambda: EstimatePOM.from_json(json.loads(text))),
+        ]
+    # a warning would print to stderr as well
+    assert not caught, [str(w.message) for w in caught]
+    if expected is None:
+        assert code == 1 and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert got == [None, None]
+        return
+    assert code == 0 and err.getvalue() == ""
+    for pom in got:
+        for name in ("estimates", "elements", "vectors"):
+            a, b = getattr(pom, name), getattr(expected, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+
+def test_povm_load_peak_memory(tmp_path, rng):
+    # the load peaks at about twice the file, while its bytes are decoded to
+    # text (2.0 here); a reader that kept every [re, im] pair of the file as
+    # a list first peaked at 4.7 times this file
+    path = tmp_path / "pom.json"
+    path.write_text(json.dumps(random_povm(rng, 32, 32).to_json()))
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    tracemalloc.start()
+    try:
+        _load_povm(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size

@@ -98,6 +98,23 @@ class TestEstimatePOM:
         with pytest.raises(ValidationError, match=r"^element 17 is not Hermitian$"):
             EstimatePOM(est, els)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_past_first_chunk(self, bad, recwarn):
+        # refused before the Hermitian test, whose skew of inf - inf would
+        # warn and name the element "not Hermitian"
+        est, els = self._split_identity()
+        els[17, 2, 1] = bad
+        with pytest.raises(ValidationError, match=r"^element 17 is not finite$"):
+            EstimatePOM(est, els)
+        assert not recwarn.list
+
+    def test_skew_past_float_range_is_not_hermitian(self, recwarn):
+        est, els = self._split_identity()
+        els[17, 0, 1], els[17, 1, 0] = 1e308, -1e308
+        with pytest.raises(ValidationError, match=r"^element 17 is not Hermitian$"):
+            EstimatePOM(est, els)
+        assert not recwarn.list
+
     @pytest.mark.parametrize("low, rejected", [(-2e-10, True), (-5e-11, False)])
     def test_psd_floor_past_first_chunk(self, low, rejected):
         # element 17 gets least eigenvalue `low` along v; element 18 takes
